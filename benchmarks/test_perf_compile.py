@@ -11,10 +11,10 @@ registry + micro-batching service).
 Rows and their gates:
 
 * ``packed_fp32_exact`` — bit-identical exact mode (erf GELU, separate
-  q/k/v GEMMs).  Recorded honestly but *unenforced*: on a 1-core box the
-  scalar erf dominates and the packing win alone is ~1.2x, below the
-  1.5x floor (same precedent as the unenforced shard-scaling row of
-  PR 9's distributed benchmark).
+  q/k/v GEMMs).  Enforced: >= 1.15x.  Both sides run the same vectorised
+  erf (``repro.nn.erf``), so the row measures packing and in-place
+  kernels alone; five runs on a 2-core host measured 1.22x to 1.34x,
+  and the floor sits below their minimum.
 * ``packed_int8`` — the default fast path (tanh GELU, fused QKV,
   dequant-free int8 grid).  Enforced: >= 1.5x vs the fused fp path.
 * ``student_int8`` — a distilled 32-wide 1-layer student, quantized.
@@ -41,6 +41,7 @@ SERVE_PATH = REPO_ROOT / "BENCH_serve.json"
 
 WORKLOAD = {"batch_size": 8, "seq_len": 128, "channels": 7}
 ENFORCED_FLOOR = 1.5
+FP32_EXACT_FLOOR = 1.15
 WARMUP = 3
 REPS = 25
 
@@ -99,7 +100,7 @@ def _measure_encode() -> dict:
                              if name != "fused_nograd"},
         "enforced_floor": {"packed_int8": ENFORCED_FLOOR,
                            "student_int8": ENFORCED_FLOOR,
-                           "packed_fp32_exact": None},
+                           "packed_fp32_exact": FP32_EXACT_FLOOR},
     }
 
 
@@ -162,9 +163,7 @@ def test_perf_compile(benchmark, tmp_path):
     for value in measured["encode_min_s"].values():
         assert np.isfinite(value) and value > 0
     speedups = measured["speedup_vs_fused"]
-    # Exact mode must at least not regress; the win is recorded, not gated.
-    assert speedups["packed_fp32_exact"] > 1.0
-    # The ISSUE's enforced floors for the fast rows.
+    assert speedups["packed_fp32_exact"] >= FP32_EXACT_FLOOR
     assert speedups["packed_int8"] >= ENFORCED_FLOOR
     assert speedups["student_int8"] >= ENFORCED_FLOOR
     for row in serve_rows.values():

@@ -23,12 +23,14 @@ import numpy as np
 from ..checkpoint.manager import _content_digest, resolve_checkpoint_source
 from ..core.config import TimeDRLConfig
 from ..core.model import TimeDRL
+from ..data.io import DataValidationError
 from ..data.specs import (
     materialize_spec_rows,
     spec_total_windows,
     store_spec,
     synthetic_windows_spec,
 )
+from ..data.store import open_store
 from ..obs.metrics import get_registry
 from .distill import DistillConfig, run_distillation
 from .errors import CompileError
@@ -48,7 +50,7 @@ class CompileOptions:
 
     precision: str = "int8"
     # None: exact erf GELU for fp32 (bit-identity), tanh GELU for int8
-    # (already inside the quantization tolerance; ~2x faster on 1 core).
+    # (already inside the quantization tolerance; ~4x faster per call).
     exact_gelu: bool | None = None
     # None: fuse the q/k/v GEMMs whenever GELU is approximated anyway —
     # fusion drifts by ~1 ulp, so exact mode keeps separate GEMMs.
@@ -227,9 +229,17 @@ def resolve_calibration_spec(calibrate: str | None, config: TimeDRLConfig,
 
 
 def _materialize_calibration(spec: dict, windows: int) -> np.ndarray:
-    total = spec_total_windows(spec)
-    count = windows if total is None else min(int(total), windows)
-    rows = materialize_spec_rows(spec, 0, count)
+    """The first ``windows`` windows of a synthetic or store spec."""
+    if spec.get("kind") == "store":
+        try:
+            with open_store(spec["path"]) as store:
+                rows = store.batch(np.arange(min(len(store), windows)))
+        except DataValidationError as error:
+            raise CompileError(f"--calibrate store: {error}") from None
+    else:
+        total = spec_total_windows(spec)
+        count = windows if total is None else min(int(total), windows)
+        rows = materialize_spec_rows(spec, 0, count)
     return np.asarray(rows, dtype=np.float32)
 
 

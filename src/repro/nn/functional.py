@@ -29,6 +29,7 @@ import contextlib
 import numpy as np
 
 from . import profiler as _prof
+from .erf import erf as _erf
 from .tensor import DEFAULT_DTYPE, Tensor, _make_node, _unbroadcast, as_tensor
 
 __all__ = [
@@ -192,14 +193,14 @@ def _gelu_reference(x: Tensor) -> Tensor:
 
 
 def _gelu_fused(x: Tensor) -> Tensor:
-    from scipy.special import erf as _erf
-
     profiled = _prof._ACTIVE
     t0 = _prof._now() if profiled else 0.0
     data = x.data
     u = data / _SQRT_2
-    a = _erf(u) + _ONE
-    out_data = (data * a) * _HALF
+    a = _erf(u)
+    a += _ONE
+    out_data = data * a
+    out_data *= _HALF
     if profiled:
         _prof._profiler.record("fused.gelu", _prof._now() - t0, out_data.nbytes)
     out = _make_node(out_data, (x,))

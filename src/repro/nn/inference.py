@@ -16,9 +16,10 @@ Two numeric modes, selected per :class:`PackedSequenceEncoder`:
   packed fp32 forward is **bit-identical** to the fused ``no_grad``
   forward.  ``tests/compile/test_packed_equivalence.py`` locks this.
 * ``exact_gelu=False`` — GELU uses the tanh approximation instead of
-  ``scipy.special.erf`` (a scalar cephes loop that dominates the 1-core
-  forward); everything else is unchanged.  Outputs drift by ~1e-3 and
-  are covered by the compile tolerance policy (``docs/inference.md``).
+  the vectorised erf of :mod:`repro.nn.erf` (about 9 ufunc calls
+  against about 45); everything else is unchanged.  Outputs drift by
+  ~1e-3 and are covered by the compile tolerance policy
+  (``docs/inference.md``).
 
 All kernels are profiler-instrumented under ``packed.*`` op names
 (``repro profile --no-grad --compiled``).
@@ -31,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import profiler as _prof
+from .erf import erf as _erf
 from .functional import _HALF, _ONE, _SQRT_2
 from .tensor import DEFAULT_DTYPE
 
@@ -136,10 +138,8 @@ def softmax_inplace(scores: np.ndarray) -> np.ndarray:
 
 def gelu_exact(u: np.ndarray) -> np.ndarray:
     """Exact erf GELU; bit-identical to ``_gelu_fused`` (``u`` untouched)."""
-    from scipy.special import erf as _erf
-
     t = u / _SQRT_2
-    _erf(t, t)
+    _erf(t, out=t)
     t += _ONE
     np.multiply(u, t, out=t)
     np.multiply(t, _HALF, out=t)
@@ -149,10 +149,10 @@ def gelu_exact(u: np.ndarray) -> np.ndarray:
 def gelu_tanh(u: np.ndarray) -> np.ndarray:
     """tanh-approximation GELU (fast mode; ``u`` untouched).
 
-    scipy's erf is a scalar cephes loop — ~40% of the 1-core packed
-    forward — while ``np.tanh`` is vectorised.  Max drift vs exact GELU
-    is ~1e-3 on layer-norm-scale activations (tolerance policy in
-    ``docs/inference.md``).
+    One ``np.tanh`` and eight arithmetic passes, against the ~45 ufunc
+    calls of :func:`gelu_exact`: the packed int8 forward keeps it
+    (measured gap in ``docs/inference.md``).  Max drift vs exact GELU is ~1e-3 on
+    layer-norm-scale activations (tolerance policy in the same file).
     """
     inner = u * u
     np.multiply(inner, u, out=inner)

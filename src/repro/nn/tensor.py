@@ -33,6 +33,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import profiler as _prof
+from .erf import erf as _erf
 
 __all__ = [
     "Tensor",
@@ -720,8 +721,6 @@ class Tensor:
         return out
 
     def erf(self) -> "Tensor":
-        from scipy.special import erf as _erf
-
         out = self._make(_erf(self.data), (self,))
         if out.requires_grad:
             # float(): keep the coefficient a weak scalar so float32 inputs

@@ -1,7 +1,16 @@
-"""Tier-1 enforcement of the no-print lint (CI runs the script directly)."""
+"""Tier-1 enforcement of the library lints.
 
+* no bare ``print`` in library code (CI also runs the script directly);
+* no ``scipy`` import in the engine (``repro.nn``) or the compiled
+  forward (``repro.compile``): their erf is ``repro.nn.erf``, and scipy
+  stays a reference for tests, scripts and evaluation code only.
+"""
+
+import ast
 import pathlib
 import sys
+
+import pytest
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "scripts"))
@@ -50,3 +59,42 @@ class TestNoPrintInLibrary:
 
     def test_ignores_attribute_named_print(self):
         assert print_calls("logger.print('hi')\n") == []
+
+
+def scipy_imports(source: str) -> list[int]:
+    """Line numbers of every ``import scipy...`` / ``from scipy... import``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name == "scipy" or name.startswith("scipy.") for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+class TestNoScipyInEngine:
+    @pytest.mark.parametrize("package", ["nn", "compile"])
+    def test_package_does_not_import_scipy(self, package):
+        root = REPO / "src" / "repro" / package
+        violations = [f"{path}:{line}: scipy import"
+                      for path in sorted(root.rglob("*.py"))
+                      for line in scipy_imports(path.read_text(encoding="utf-8"))]
+        assert violations == [], "\n".join(violations)
+
+    def test_detects_every_import_form(self):
+        source = ("import scipy\n"
+                  "import numpy, scipy.special as sp\n"
+                  "def f():\n    from scipy.special import erf\n"
+                  "from scipy import linalg\n")
+        assert scipy_imports(source) == [1, 2, 4, 5]
+
+    def test_ignores_lookalikes_and_text(self):
+        source = ('"""uses scipy.special.erf as the reference"""\n'
+                  "import scipyx\n"
+                  "from .scipy import erf\n"
+                  "s = 'import scipy'\n")
+        assert scipy_imports(source) == []
