@@ -1247,6 +1247,13 @@ _RUNS_COMMANDS = {"list": _runs_list, "show": _runs_show,
                   "resume": _runs_resume}
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1257,7 +1264,8 @@ def build_parser() -> argparse.ArgumentParser:
     prof = sub.add_parser(
         "profile", help="op-level profile of a short synthetic pre-training run")
     prof.set_defaults(experiment="profile")
-    prof.add_argument("--steps", type=int, default=10, help="training steps to profile")
+    prof.add_argument("--steps", type=_positive_int, default=10,
+                      help="training steps to profile")
     prof.add_argument("--batch-size", type=int, default=8)
     prof.add_argument("--seq-len", type=int, default=128)
     prof.add_argument("--channels", type=int, default=7)

@@ -21,6 +21,11 @@ parameters and losses as an uninterrupted run (see
 With telemetry and checkpointing both off the loop is bit-identical to
 the uninstrumented original: no derived metrics are computed, no clocks
 beyond the wall-clock total are read, and no files are touched.
+
+Data parallelism: ``distributed=`` with a world size above 1 runs this
+same loop inside every rank of a :mod:`repro.distributed` group, with a
+gradient all-reduce and the records forwarded to the caller's run (see
+:class:`_PretrainLoop`).
 """
 
 from __future__ import annotations
@@ -79,11 +84,14 @@ class PretrainResult:
         return self.history[-1]["total"] if self.history else float("nan")
 
 
+_LOSS_KEYS = ("total", "predictive", "contrastive")
+
+
 def _batch_fetcher(data):
     """Resolve ``data`` to ``(n_windows, fetch(indices) -> (B, T, C))``."""
     if isinstance(data, ForecastingWindows):
         return len(data), lambda indices: data.batch(indices)[0]
-    if isinstance(data, ShardedDataset):
+    if hasattr(data, "batch"):  # a ShardedDataset, or a data-parallel rank's shard
         return len(data), data.batch
     samples = np.asarray(data)
     return len(samples), lambda indices: samples[indices]
@@ -133,31 +141,99 @@ class _Rollback(Exception):
     """Internal signal: restore the last checkpoint and continue."""
 
 
+def _local_reduce(params, losses, rows):
+    """The in-process gradient reducer: the gradients stay where backward
+    left them; only the loss values are read out."""
+    return {key: float(losses[key].data) for key in _LOSS_KEYS}, rows
+
+
+class _Reporter:
+    """Where the loop's records go: the telemetry run, the obs registry
+    and the console.
+
+    A data-parallel rank reports through a forwarder instead
+    (:mod:`repro.distributed.worker`); the coordinator replays each
+    forwarded call on a ``_Reporter`` around the caller's run, so both
+    paths record through this code.
+    """
+
+    def __init__(self, run):
+        self.run = run
+        self.enabled = run.enabled
+        self.emit = run.emit
+        self.span = run.span
+        self.log_step = run.log_step
+        self.log_epoch = run.log_epoch
+
+    @property
+    def obs_on(self) -> bool:
+        return obs_enabled()
+
+    @staticmethod
+    def log(text: str) -> None:
+        console_log(text)
+
+    @staticmethod
+    def observe_epoch(steps: int, seconds: float, last_loss: float) -> None:
+        registry = obs_registry()
+        registry.counter("train_steps_total", "Optimizer steps taken",
+                         labels=("phase",)).labels(phase="pretrain").inc(steps)
+        registry.counter("train_epochs_total", "Epochs completed",
+                         labels=("phase",)).labels(phase="pretrain").inc()
+        registry.histogram("train_epoch_seconds", "Wall-clock per epoch",
+                           labels=("phase",),
+                           buckets=(0.01, 0.1, 0.5, 1, 5, 30, 60, 300,
+                                    1800, 7200)).labels(
+            phase="pretrain").observe(seconds)
+        registry.gauge("train_last_loss",
+                       "Most recent epoch's mean total loss").set(last_loss)
+
+
 class _PretrainLoop:
-    """The resumable pre-training loop.
+    """The resumable pre-training loop, in process and in every
+    data-parallel rank.
 
     Cursor model: ``(epoch, batch_in_epoch, global_step)`` plus the loader
     RNG state *as of the start of the current epoch*.  ``batch_indices``
     draws one shuffle permutation per epoch from the loader RNG, so
     restoring the epoch-start state and skipping ``batch_in_epoch``
     batches replays the interrupted epoch bit-identically.
+
+    One step: forward → ``on_loss`` → backward → ``on_after_backward`` →
+    ``reduce`` → loss check → clip → gradient check → optimizer step.
+    Two seams adapt the loop to a data-parallel rank; neither is a user
+    option.  ``reduce(params, losses, rows)`` returns the step's loss
+    values and global batch rows: in process it only reads the losses
+    out, in a rank it all-reduces the gradients.  ``report`` receives
+    every record: a :class:`_Reporter` in process, a forwarder in a rank.
+    A rank other than 0 restores checkpoints but never writes them.
     """
 
-    def __init__(self, model, optimizer, data, train_config, rng, run,
-                 history: list[dict[str, float]], manager=None,
-                 recovery=None, hooks=None, extra_meta=None):
-        self.model = model
-        self.optimizer = optimizer
+    def __init__(self, model_config, data, train_config, report, hooks=None,
+                 checkpoint_dir=None, extra_meta=None, reduce=_local_reduce,
+                 rank: int = 0):
+        self.model = TimeDRL(model_config)
+        self.model.train()
+        self.params = self.model.parameters()
+        self.optimizer = nn.AdamW(self.params, lr=train_config.learning_rate,
+                                  weight_decay=train_config.weight_decay)
+        self.rng = np.random.default_rng(train_config.seed)
+        self.history: list[dict[str, float]] = []
         self.data = data
         self.train_config = train_config
-        self.rng = rng
-        self.run = run
-        self.history = history
-        self.manager = manager
-        self.recovery = recovery
+        self.report = report
         self.hooks = hooks
         self.extra_meta = extra_meta
+        self.reduce = reduce
+        self.rank = rank
         ckpt = train_config.checkpoint
+        self.manager = self.recovery = None
+        if ckpt is not None:
+            self.manager = CheckpointManager(checkpoint_dir,
+                                             keep_last=ckpt.keep_last,
+                                             best_metric=ckpt.best_metric,
+                                             best_mode=ckpt.best_mode)
+            self.recovery = RecoveryController(ckpt, run=report)
         self.every_n_batches = ckpt.every_n_batches if ckpt else None
         self.every_n_epochs = ckpt.every_n_epochs if ckpt else 1
         # cursor
@@ -185,8 +261,27 @@ class _PretrainLoop:
         else:
             self.pending = None
 
+    def resume_latest(self) -> int | None:
+        """Adopt the latest checkpoint, if any; returns its global step."""
+        loaded = self.manager.load_latest()
+        if loaded is None:
+            return None
+        state, __ = loaded
+        self.apply_state(state)
+        if self.report.enabled:
+            self.report.emit("checkpoint", action="resumed",
+                             step=state.global_step, epoch=state.epoch,
+                             batch=state.batch_in_epoch)
+        if self.train_config.verbose:
+            self.report.log(f"[pretrain] resuming from step {state.global_step} "
+                            f"(epoch {state.epoch}, "
+                            f"batch {state.batch_in_epoch})")
+        return state.global_step
+
     def _save(self, batch_in_epoch: int, sums, batches: int, samples: int,
               metrics=None, at_epoch_start: bool = False) -> None:
+        if self.rank != 0:
+            return
         loader = rng_state(self.rng) if at_epoch_start else self.epoch_rng_state
         state = capture_state(
             self.model, self.optimizer, loader_rng_state=loader,
@@ -196,11 +291,11 @@ class _PretrainLoop:
             history=self.history)
         info = self.manager.save(state, metrics=metrics,
                                  extra_meta=self.extra_meta)
-        if self.run.enabled:
-            self.run.emit("checkpoint", action="saved", step=info.step,
-                          epoch=self.epoch, batch=batch_in_epoch,
-                          file=info.path.name, sha256=info.sha256,
-                          size_bytes=info.size_bytes, best=info.is_best)
+        if self.report.enabled:
+            self.report.emit("checkpoint", action="saved", step=info.step,
+                             epoch=self.epoch, batch=batch_in_epoch,
+                             file=info.path.name, sha256=info.sha256,
+                             size_bytes=info.size_bytes, best=info.is_best)
 
     def _rollback(self) -> None:
         loaded = self.manager.load_latest() if self.manager is not None else None
@@ -214,24 +309,24 @@ class _PretrainLoop:
         # was saved with, so scale by backoff**rollbacks to keep repeated
         # rollbacks to the same checkpoint making progress downward.
         self.optimizer.lr = self.optimizer.lr * self.recovery.lr_scale()
-        if self.run.enabled:
-            self.run.emit("recovery", action="rollback_restored",
-                          step=state.global_step, epoch=state.epoch,
-                          batch=state.batch_in_epoch,
-                          lr=float(self.optimizer.lr),
-                          recoveries=self.recovery.recoveries)
+        if self.report.enabled:
+            self.report.emit("recovery", action="rollback_restored",
+                             step=state.global_step, epoch=state.epoch,
+                             batch=state.batch_in_epoch,
+                             lr=float(self.optimizer.lr),
+                             recoveries=self.recovery.recoveries)
         if self.train_config.verbose:
-            console_log(f"[pretrain] rolled back to step {state.global_step} "
-                        f"(epoch {state.epoch}, batch {state.batch_in_epoch}), "
-                        f"lr={self.optimizer.lr:.2e}")
+            self.report.log(f"[pretrain] rolled back to step {state.global_step} "
+                            f"(epoch {state.epoch}, batch {state.batch_in_epoch}), "
+                            f"lr={self.optimizer.lr:.2e}")
 
     # -- driving --------------------------------------------------------
     def run_all(self) -> None:
         cfg = self.train_config
-        telemetry_on = self.run.enabled
-        self.meter = ParamUpdateMeter(self.model.parameters()) if telemetry_on else None
+        telemetry_on = self.report.enabled
+        self.meter = ParamUpdateMeter(self.params) if telemetry_on else None
         self.epoch_timer = Timer(accumulate=True) if telemetry_on else None
-        self._profiling = telemetry_on and cfg.profile
+        self._profiling = telemetry_on and cfg.profile and profiler.is_active()
         self._alloc_before = _profiler_alloc_bytes() if self._profiling else 0.0
         if (self.manager is not None and cfg.checkpoint.wants_rollback
                 and self.global_step == 0):
@@ -258,10 +353,10 @@ class _PretrainLoop:
 
     def _run_epoch(self) -> None:
         cfg = self.train_config
-        telemetry_on = self.run.enabled
+        telemetry_on = self.report.enabled
         # Sampled once per epoch: the batch loop below must not pay even
         # a registry lookup per step on the disabled path.
-        obs_on = obs_enabled()
+        obs_on = self.report.obs_on
         epoch_started = time.perf_counter() if obs_on else 0.0
         epoch = self.epoch
         skip = self.start_batch
@@ -274,7 +369,7 @@ class _PretrainLoop:
             sums, batches, samples = self.pending
             self.pending = None
         else:
-            sums = {"total": 0.0, "predictive": 0.0, "contrastive": 0.0}
+            sums = dict.fromkeys(_LOSS_KEYS, 0.0)
             batches = 0
             samples = 0
         batch_in_epoch = skip
@@ -287,34 +382,37 @@ class _PretrainLoop:
             # bit-identical to the unprefetched path.
             source = self.active_loader = PrefetchLoader(
                 source, depth=cfg.prefetch_depth)
-        with self.run.span("epoch", index=epoch), (self.epoch_timer or _NULL_CTX):
+        with self.report.span("epoch", index=epoch), (self.epoch_timer or _NULL_CTX):
             for x in source:
                 step = self.global_step
                 self.optimizer.zero_grad()
-                losses = self.model.pretraining_losses(x)
-                if self.hooks is not None:
-                    self.hooks.on_loss(losses, epoch, batch_in_epoch, step)
+                losses = None
+                if len(x):  # a data-parallel rank may own no rows of a batch
+                    losses = self.model.pretraining_losses(x)
+                    if self.hooks is not None:
+                        self.hooks.on_loss(losses, epoch, batch_in_epoch, step)
+                    losses["total"].backward()
+                    if self.hooks is not None:
+                        self.hooks.on_after_backward(self.model, epoch,
+                                                     batch_in_epoch, step)
+                # Recovery decisions below read the reduced values, so every
+                # data-parallel replica takes the same action at the same step.
+                values, rows = self.reduce(self.params, losses, len(x))
                 if self.recovery is not None:
-                    action = self.recovery.check_loss(
-                        float(losses["total"].data), epoch, batch_in_epoch,
-                        step)
+                    action = self.recovery.check_loss(values["total"], epoch,
+                                                      batch_in_epoch, step)
                     if action == "skip_batch":
                         batch_in_epoch += 1
                         self.global_step += 1
                         continue
                     if action == "rollback":
                         raise _Rollback()
-                losses["total"].backward()
-                if self.hooks is not None:
-                    self.hooks.on_after_backward(self.model, epoch,
-                                                 batch_in_epoch, step)
                 grad_norm = None
                 if cfg.grad_clip:
-                    grad_norm = nn.clip_grad_norm(self.model.parameters(),
-                                                  cfg.grad_clip)
+                    grad_norm = nn.clip_grad_norm(self.params, cfg.grad_clip)
                 if self.recovery is not None:
                     norm_value = (grad_norm if grad_norm is not None
-                                  else grad_global_norm(self.model.parameters()))
+                                  else grad_global_norm(self.params))
                     action = self.recovery.check_grad(float(norm_value), epoch,
                                                       batch_in_epoch, step)
                     if action == "skip_batch":
@@ -327,20 +425,16 @@ class _PretrainLoop:
                             and step % cfg.log_every == 0)
                 if log_step:
                     if grad_norm is None:
-                        grad_norm = grad_global_norm(self.model.parameters())
+                        grad_norm = grad_global_norm(self.params)
                     self.meter.snapshot()
                 self.optimizer.step()
                 for key in sums:
-                    sums[key] += float(losses[key].data)
+                    sums[key] += values[key]
                 if log_step:
-                    self.run.log_step(step,
-                                      total=float(losses["total"].data),
-                                      predictive=float(losses["predictive"].data),
-                                      contrastive=float(losses["contrastive"].data),
-                                      grad_norm=grad_norm,
-                                      update_ratio=self.meter.ratio())
+                    self.report.log_step(step, **values, grad_norm=grad_norm,
+                                         update_ratio=self.meter.ratio())
                 batches += 1
-                samples += len(x)
+                samples += rows
                 batch_in_epoch += 1
                 self.global_step += 1
                 if (self.manager is not None and self.every_n_batches
@@ -358,20 +452,9 @@ class _PretrainLoop:
         epoch_stats["epoch"] = float(epoch)
         self.history.append(epoch_stats)
         if obs_on:
-            registry = obs_registry()
-            registry.counter("train_steps_total", "Optimizer steps taken",
-                             labels=("phase",)).labels(
-                phase="pretrain").inc(batches)
-            registry.counter("train_epochs_total", "Epochs completed",
-                             labels=("phase",)).labels(phase="pretrain").inc()
-            registry.histogram("train_epoch_seconds", "Wall-clock per epoch",
-                               labels=("phase",),
-                               buckets=(0.01, 0.1, 0.5, 1, 5, 30, 60, 300,
-                                        1800, 7200)).labels(
-                phase="pretrain").observe(time.perf_counter() - epoch_started)
-            registry.gauge("train_last_loss",
-                           "Most recent epoch's mean total loss").set(
-                epoch_stats["total"])
+            self.report.observe_epoch(batches,
+                                      time.perf_counter() - epoch_started,
+                                      epoch_stats["total"])
         if telemetry_on:
             seconds = self.epoch_timer.last
             epoch_metrics = {key: epoch_stats[key] for key in sums}
@@ -383,12 +466,12 @@ class _PretrainLoop:
                 alloc_now = _profiler_alloc_bytes()
                 epoch_metrics["alloc_mb"] = (alloc_now - self._alloc_before) / 1e6
                 self._alloc_before = alloc_now
-            self.run.log_epoch(epoch, **epoch_metrics)
+            self.report.log_epoch(epoch, **epoch_metrics)
         if cfg.verbose:
-            console_log(f"[pretrain] epoch {epoch}: "
-                        f"total={epoch_stats['total']:.4f} "
-                        f"P={epoch_stats['predictive']:.4f} "
-                        f"C={epoch_stats['contrastive']:.4f}")
+            self.report.log(f"[pretrain] epoch {epoch}: "
+                            f"total={epoch_stats['total']:.4f} "
+                            f"P={epoch_stats['predictive']:.4f} "
+                            f"C={epoch_stats['contrastive']:.4f}")
         if self.recovery is not None:
             action = self.recovery.check_epoch(epoch_stats["total"], epoch)
             if action == "rollback":
@@ -434,20 +517,27 @@ def _resolve_checkpoint_dir(ckpt_cfg, train_config, run) -> pathlib.Path:
     return chosen
 
 
-def _checkpoint_extra_meta(model_config, train_config, ckpt_cfg, data) -> dict:
+def _checkpoint_extra_meta(model_config, train_config, ckpt_cfg, spec, data,
+                           dist) -> dict:
     """Self-description stored in every checkpoint so ``repro runs resume``
     can rebuild the model/config/data without the original script.
 
-    When training from an on-disk store and no explicit spec was given,
-    the store's own ``kind='store'`` spec (path + generating spec from
-    the manifest) rides along, so out-of-core runs resume too.
+    Without an explicit ``ckpt_cfg.data_spec`` the data spec is, in
+    order: the store's own ``kind='store'`` spec (path + generating spec
+    from the manifest) when training from an on-disk store, so
+    out-of-core runs resume too; else the spec the caller passed.  A
+    data-parallel run also records its topology.
     """
     data_spec = ckpt_cfg.data_spec
-    if data_spec is None and isinstance(data, ShardedDataset):
-        data_spec = data.store_spec()
-    return {"model_config": dataclasses.asdict(model_config),
+    if data_spec is None:
+        data_spec = (data.store_spec() if isinstance(data, ShardedDataset)
+                     else spec)
+    meta = {"model_config": dataclasses.asdict(model_config),
             "train_config": dataclasses.asdict(train_config),
             "data_spec": data_spec}
+    if dist is not None:
+        meta["distributed"] = dataclasses.asdict(dist)
+    return meta
 
 
 def run_pretrain(model_config: TimeDRLConfig, data,
@@ -462,10 +552,9 @@ def run_pretrain(model_config: TimeDRLConfig, data,
         ``(N, T, C)`` (classification), an out-of-core
         :class:`~repro.data.store.ShardedDataset`, a path to a store
         directory built by ``repro data build`` (opened and memory-mapped
-        here), or a ``repro.data.specs`` spec dict (materialized here —
-        or shard-by-shard inside the workers when distributed).  Labels
-        are never consumed.  With ``train_config.prefetch=True`` batches
-        are staged through a background
+        here), or a ``repro.data.specs`` spec dict (materialized here).
+        Labels are never consumed.  With ``train_config.prefetch=True``
+        batches are staged through a background
         :class:`~repro.data.prefetch.PrefetchLoader`.
     run:
         Optional :class:`repro.telemetry.Run` to report into (the caller
@@ -477,27 +566,35 @@ def run_pretrain(model_config: TimeDRLConfig, data,
     distributed:
         ``None`` (single process), an int world size, a dict, or a
         :class:`repro.distributed.DistributedConfig`.  A world size above
-        1 routes through :func:`repro.distributed.pretrain_data_parallel`;
-        1 stays on this in-process loop (bit-identical by construction).
+        1 runs this same loop in that many data-parallel ranks
+        (:mod:`repro.distributed`); 1 stays in process.
 
     Returns
     -------
     PretrainResult with the trained model and per-epoch loss history.
     """
-    train_config = train_config or PretrainConfig()
+    dist = None
     if distributed is not None:
-        from ..distributed import pretrain_data_parallel, resolve_distributed
+        from ..distributed import resolve_distributed
 
         dist = resolve_distributed(distributed)
-        if dist is not None and dist.world_size > 1:
-            return pretrain_data_parallel(model_config, data,
-                                          train_config=train_config,
-                                          distributed=dist, run=run,
-                                          hooks=hooks)
-    if isinstance(data, dict) and "kind" in data:
+        if dist is not None and dist.world_size == 1:
+            dist = None
+    return _run_pretrain(model_config, data, train_config or PretrainConfig(),
+                         run, hooks, dist)
+
+
+def _run_pretrain(model_config, data, train_config, run, hooks,
+                  dist) -> PretrainResult:
+    """The one pre-training driver: resolve the data, open the run, train
+    in process (``dist=None``) or in a data-parallel rank group of
+    ``dist.world_size`` (:func:`repro.distributed.pretrain_data_parallel`
+    passes one even at world size 1), then close the run."""
+    spec = data if isinstance(data, dict) and "kind" in data else None
+    if spec is not None:
         from ..data.specs import materialize_data_spec
 
-        data = materialize_data_spec(data)
+        data = materialize_data_spec(spec)
     data = resolve_data_source(data)
     owns_run = False
     if run is None:
@@ -512,54 +609,38 @@ def run_pretrain(model_config: TimeDRLConfig, data,
         else:
             run = NULL_RUN
 
-    model = TimeDRL(model_config)
-    model.train()
-    optimizer = nn.AdamW(model.parameters(), lr=train_config.learning_rate,
-                         weight_decay=train_config.weight_decay)
-    rng = np.random.default_rng(train_config.seed)
-    history: list[dict[str, float]] = []
-
     ckpt_cfg = train_config.checkpoint
-    manager = recovery = resume_state = checkpoint_dir = None
+    checkpoint_dir = extra_meta = None
     if ckpt_cfg is not None:
         checkpoint_dir = _resolve_checkpoint_dir(ckpt_cfg, train_config, run)
-        manager = CheckpointManager(checkpoint_dir,
-                                    keep_last=ckpt_cfg.keep_last,
-                                    best_metric=ckpt_cfg.best_metric,
-                                    best_mode=ckpt_cfg.best_mode)
-        recovery = RecoveryController(ckpt_cfg, run=run)
-        if ckpt_cfg.resume:
-            loaded = manager.load_latest()
-            if loaded is not None:
-                resume_state = loaded[0]
+        extra_meta = _checkpoint_extra_meta(model_config, train_config,
+                                            ckpt_cfg, spec, data, dist)
 
-    if train_config.profile:
-        profiler.enable()
-
-    loop = _PretrainLoop(model, optimizer, data, train_config, rng, run,
-                         history, manager=manager, recovery=recovery,
-                         hooks=hooks,
-                         extra_meta=(_checkpoint_extra_meta(
-                             model_config, train_config, ckpt_cfg, data)
-                             if ckpt_cfg is not None else None))
+    span = {"epochs": train_config.epochs,
+            "batch_size": train_config.batch_size}
     resumed_from_step = None
-    if resume_state is not None:
-        loop.apply_state(resume_state)
-        resumed_from_step = resume_state.global_step
-        if run.enabled:
-            run.emit("checkpoint", action="resumed",
-                     step=resumed_from_step, epoch=resume_state.epoch,
-                     batch=resume_state.batch_in_epoch)
-        if train_config.verbose:
-            console_log(f"[pretrain] resuming from step {resumed_from_step} "
-                        f"(epoch {resume_state.epoch}, "
-                        f"batch {resume_state.batch_in_epoch})")
+    restarts = 0
+    if dist is None:
+        loop = _PretrainLoop(model_config, data, train_config, _Reporter(run),
+                             hooks=hooks, checkpoint_dir=checkpoint_dir,
+                             extra_meta=extra_meta)
+        if ckpt_cfg is not None and ckpt_cfg.resume:
+            resumed_from_step = loop.resume_latest()
+        if train_config.profile:
+            profiler.enable()
+    else:
+        span["world_size"] = dist.world_size
 
     start = time.perf_counter()
     try:
-        with run.span("pretrain", epochs=train_config.epochs,
-                      batch_size=train_config.batch_size):
-            loop.run_all()
+        with run.span("pretrain", **span):
+            if dist is None:
+                loop.run_all()
+            else:
+                from ..distributed.coordinator import train_group
+
+                group = train_group(model_config, data, train_config, dist,
+                                    run, hooks, checkpoint_dir, extra_meta)
     except TrainingAborted as error:
         # Deliberate stop by a recovery policy: a controlled failure, not
         # a crash.
@@ -577,12 +658,20 @@ def run_pretrain(model_config: TimeDRLConfig, data,
     elapsed = time.perf_counter() - start
 
     profile = None
-    if train_config.profile:
-        profiler.disable()
-        profile = profiler.snapshot()
-        if train_config.verbose:
-            console_log("[pretrain] op profile:")
-            console_log(format_profile(profile, limit=20))
+    if dist is None:
+        model, history = loop.model, loop.history
+        if train_config.profile:
+            profiler.disable()
+            profile = profiler.snapshot()
+            if train_config.verbose:
+                console_log("[pretrain] op profile:")
+                console_log(format_profile(profile, limit=20))
+    else:
+        model = TimeDRL(model_config)
+        model.load_state_dict(group["model_state"], strict=True)
+        history = group["history"]
+        resumed_from_step = group["resumed_from_step"]
+        restarts = group["restarts"]
     if run.enabled and history:
         run.log_summary(final_total=history[-1]["total"],
                         final_predictive=history[-1]["predictive"],
@@ -599,7 +688,9 @@ def run_pretrain(model_config: TimeDRLConfig, data,
                                    if run.directory is not None else None),
                           checkpoint_dir=(str(checkpoint_dir)
                                           if checkpoint_dir is not None else None),
-                          resumed_from_step=resumed_from_step)
+                          resumed_from_step=resumed_from_step,
+                          world_size=dist.world_size if dist else 1,
+                          worker_restarts=restarts)
 
 
 def pretrain(model_config: TimeDRLConfig, data,

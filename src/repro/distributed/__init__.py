@@ -1,14 +1,14 @@
-"""Data-parallel sharded pre-training (PR 9).
+"""Data-parallel sharded pre-training.
 
-``world_size`` workers each own a contiguous shard of the window index
-space, draw the IDENTICAL per-epoch batch permutation from a shared
-loader seed, and exchange gradients through a shared-memory all-reduce
-whose fixed-order float64 accumulation makes every replica's reduced
-gradient bit-identical — so the replicas stay in lockstep with no
-parameter broadcast.  ``repro.train`` (and ``repro pretrain --workers N``)
-route through :func:`pretrain_data_parallel` when ``world_size > 1``;
-world size 1 stays on the single-process ``repro.core`` loop and is
-bit-identical by construction.
+``world_size`` ranks each own a contiguous shard of the window index
+space, run the in-process ``repro.core`` pre-training loop over the
+IDENTICAL per-epoch batch permutation drawn from a shared loader seed,
+and exchange gradients through a shared-memory all-reduce whose
+fixed-order float64 accumulation makes every replica's reduced gradient
+bit-identical — so the replicas stay in lockstep with no parameter
+broadcast.  ``repro.train`` (and ``repro pretrain --workers N``) route
+here when ``world_size > 1``; world size 1 stays in process.  This
+package holds no training step of its own.
 
 See ``docs/training.md`` for the runbook (topology, failure matrix,
 observability).
@@ -17,7 +17,7 @@ observability).
 from .config import DistributedConfig, resolve_distributed
 from .coordinator import pretrain_data_parallel
 from .reduce import SharedAllReduce, flatten_grads, scatter_grads
-from .sharding import Shard, local_indices, shard_assignment, shard_bounds
+from .sharding import local_indices, shard_bounds
 from .worker import (
     EXIT_ABORTED,
     EXIT_CRASH,
@@ -34,9 +34,7 @@ __all__ = [
     "SharedAllReduce",
     "flatten_grads",
     "scatter_grads",
-    "Shard",
     "shard_bounds",
-    "shard_assignment",
     "local_indices",
     "WorkerTask",
     "run_worker",

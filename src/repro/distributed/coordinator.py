@@ -1,30 +1,39 @@
 """The coordinator: launches, monitors and (elastically) restarts the
-worker group of a data-parallel pre-training run.
+rank group of a data-parallel pre-training run.
 
-The coordinator never trains.  It owns the shared-memory reducer and the
-heartbeat slab, ships each rank a :class:`~repro.distributed.worker.WorkerTask`,
-and then watches two failure channels:
+:func:`repro.core.run_pretrain` drives a data-parallel run exactly as an
+in-process one: it opens the run, resolves the checkpoint directory,
+and records the summary.  Only the training itself moves into
+:func:`train_group`, where every rank runs the same
+``_PretrainLoop`` (:mod:`repro.distributed.worker`).  The coordinator
+never trains.  It owns the shared-memory reducer, the heartbeat slab
+and the message queue, ships each rank a
+:class:`~repro.distributed.worker.WorkerTask`, and then:
 
-* **exit codes** — a rank that dies (crash, kill, fault-injected
+* **replays records** — rank 0 forwards the loop's records (steps,
+  epochs, checkpoint and recovery events, ``train_*`` obs metrics,
+  verbose lines) and every rank its all-reduce digest; each is replayed
+  on the caller's run and obs registry through the in-process reporter;
+* **watches exit codes** — a rank that dies (crash, kill, fault-injected
   ``SimulatedCrash``) exits non-zero or is signalled; survivors blocked
   on a reduce barrier time out with ``BrokenBarrierError`` and exit
   ``EXIT_PEER_LOST`` (the coordinator also terminates them proactively);
-* **heartbeats** — each rank stamps a monotonic timestamp into shared
-  memory every batch; a stale stamp beyond ``heartbeat_timeout_s`` marks
-  a hung (not dead) rank.
+* **watches heartbeats** — each rank stamps a monotonic timestamp into
+  shared memory every step; a stale stamp beyond ``heartbeat_timeout_s``
+  marks a hung (not dead) rank.
 
 In elastic mode a dead group is relaunched with ``resume=True`` — the
 replacement replays from the last checkpoint saved by rank 0 (or from
 scratch when checkpointing is off), bounded by ``max_restarts`` before a
 :class:`~repro.checkpoint.TrainingAborted`.  A deliberate abort by a
-recovery policy inside the workers (exit ``EXIT_ABORTED``) is never
+recovery policy inside the ranks (exit ``EXIT_ABORTED``) is never
 restarted: the abort is replayed to the caller, matching the
 single-process contract.
 
-Observability mirrors the training spine: ``worker`` telemetry events
-(started / dead / restart / finished) on the run, and ``dist_*`` obs
-metric families (``dist_allreduce_seconds``, ``dist_worker_restarts``,
-per-worker throughput gauges).
+The coordinator adds ``worker`` telemetry events (started / dead /
+restart / finished) and ``dist_*`` obs metric families
+(``dist_world_size``, ``dist_worker_restarts``, per-rank
+``dist_allreduce_seconds`` and ``dist_worker_throughput``).
 """
 
 from __future__ import annotations
@@ -34,16 +43,14 @@ import multiprocessing
 import queue as queue_module
 import time
 
-import numpy as np
-
 from ..checkpoint import TrainingAborted
 from ..core.config import PretrainConfig, TimeDRLConfig
 from ..core.model import TimeDRL
-from ..data.datasets import ForecastingWindows
-from ..data.store import ShardedDataset, resolve_data_source
+from ..core.pretrain import _batch_fetcher, _Reporter
+from ..data.store import ShardedDataset
 from ..obs.metrics import enabled as obs_enabled
 from ..obs.metrics import get_registry as obs_registry
-from ..telemetry import NULL_RUN, Run, console_log
+from ..telemetry import console_log
 from .config import DistributedConfig
 from .reduce import SharedAllReduce
 from .sharding import shard_bounds
@@ -53,36 +60,6 @@ __all__ = ["pretrain_data_parallel"]
 
 _POLL_SECONDS = 0.05
 _JOIN_TIMEOUT = 10.0
-
-
-def _resolve_data_token(data) -> tuple[object, int]:
-    """Resolve the ``data`` argument to ``(picklable token, total windows)``.
-
-    Spec dicts stay spec dicts (workers materialize only their shard's
-    generation blocks); stores travel as their ``kind='store'`` spec so
-    workers re-open the memory maps themselves; in-memory arrays and
-    window views travel by value (inherited on fork, pickled on spawn).
-    """
-    from ..data.specs import materialize_data_spec
-
-    if isinstance(data, dict) and "kind" in data:
-        kind = data["kind"]
-        if kind == "synthetic_windows":
-            return data, int(data["windows"])
-        if kind == "store":
-            dataset = resolve_data_source(data["path"])
-            try:
-                return data, len(dataset)
-            finally:
-                dataset.close()
-        data = materialize_data_spec(data)
-    data = resolve_data_source(data)
-    if isinstance(data, ShardedDataset):
-        return data.store_spec(), len(data)
-    if isinstance(data, ForecastingWindows):
-        return data, len(data)
-    samples = np.asarray(data)
-    return samples, len(samples)
 
 
 def _rank_hooks(hooks, rank: int):
@@ -97,7 +74,7 @@ def _rank_hooks(hooks, rank: int):
 
 
 class _Group:
-    """One incarnation of the worker group."""
+    """One incarnation of the rank group."""
 
     def __init__(self, ctx, tasks, reducer, heartbeats, queue):
         now = time.monotonic()
@@ -129,167 +106,127 @@ class _Group:
                 process.join(timeout=_JOIN_TIMEOUT)
 
 
+class _GroupReport(_Reporter):
+    """The caller's reporter, which also takes each rank's epoch digest
+    into the per-rank ``dist_*`` obs families."""
+
+    @staticmethod
+    def observe_rank(rank: int, rows: int, seconds: float,
+                     reduce_seconds: float) -> None:
+        registry = obs_registry()
+        registry.histogram(
+            "dist_allreduce_seconds",
+            "Per-epoch wall-clock a rank spent in gradient all-reduce",
+            labels=("rank",),
+            buckets=(0.001, 0.01, 0.05, 0.1, 0.5, 1, 5, 30, 60, 300),
+        ).labels(rank=str(rank)).observe(reduce_seconds)
+        if seconds > 0:
+            registry.gauge(
+                "dist_worker_throughput",
+                "Windows/s a rank processed in its last epoch",
+                labels=("rank",)).labels(rank=str(rank)).set(rows / seconds)
+
+
 def pretrain_data_parallel(model_config: TimeDRLConfig, data,
                            train_config: PretrainConfig | None = None,
                            distributed: DistributedConfig | None = None,
                            run=None, hooks=None):
-    """Data-parallel counterpart of :func:`repro.core.run_pretrain`.
+    """:func:`repro.core.run_pretrain` in ``distributed.world_size`` ranks
+    — even at world size 1, which ``run_pretrain`` keeps in process.
 
     Same contract and return type (:class:`~repro.core.PretrainResult`,
     with ``world_size``/``worker_restarts`` filled in); ``hooks`` may be
     a single ``TrainingHooks`` (applied to rank 0) or a ``{rank: hooks}``
     dict for fault-injection on specific ranks.
     """
-    from ..core.pretrain import (
-        PretrainResult,
-        _checkpoint_extra_meta,
-        _resolve_checkpoint_dir,
-    )
+    from ..core.pretrain import _run_pretrain
 
-    train_config = train_config or PretrainConfig()
-    dist = distributed or DistributedConfig()
-    token, total = _resolve_data_token(data)
+    return _run_pretrain(model_config, data, train_config or PretrainConfig(),
+                         run, hooks, distributed or DistributedConfig())
 
-    owns_run = False
-    if run is None:
-        if train_config.telemetry:
-            run = Run.create(root=train_config.run_root,
-                             name=train_config.run_name,
-                             model_config=model_config,
-                             train_config=train_config,
-                             seed=train_config.seed,
-                             log_to_console=train_config.verbose)
-            owns_run = True
-        else:
-            run = NULL_RUN
 
-    ckpt_cfg = train_config.checkpoint
-    checkpoint_dir = extra_meta = None
-    if ckpt_cfg is not None:
-        checkpoint_dir = _resolve_checkpoint_dir(ckpt_cfg, train_config, run)
-        extra_meta = _checkpoint_extra_meta(model_config, train_config,
-                                            ckpt_cfg, data)
-        if extra_meta["data_spec"] is None and isinstance(token, dict):
-            extra_meta["data_spec"] = token
-        extra_meta["distributed"] = dataclasses.asdict(dist)
+def train_group(model_config, data, train_config, dist, run, hooks,
+                checkpoint_dir, extra_meta) -> dict:
+    """Train in a supervised group of ``dist.world_size`` ranks.
 
-    n_params = sum(p.data.size for p in TimeDRL(model_config).parameters())
-    ctx = multiprocessing.get_context(dist.start_method)
-    heartbeats = ctx.RawArray("d", dist.world_size)
-    messages = ctx.Queue()
-    bounds = shard_bounds(total, dist.world_size)
-
+    ``data`` is already resolved; a store travels to the ranks as its
+    path (each rank maps it again), anything else by value (inherited on
+    fork, pickled on spawn).  Returns rank 0's final state —
+    ``model_state``, ``history``, ``global_step``, ``resumed_from_step``
+    — plus ``restarts``.
+    """
+    total, __ = _batch_fetcher(data)
+    if total == 0:
+        # Every rank would fail alike, which the elastic policy would
+        # misread as a crash loop.
+        raise ValueError("pre-training data yielded no batches")
+    token = str(data.root) if isinstance(data, ShardedDataset) else data
+    report = _GroupReport(run)
     obs_on = obs_enabled()
     if obs_on:
         obs_registry().gauge("dist_world_size",
                              "Workers in the data-parallel group").set(
             dist.world_size)
-
-    def make_tasks(resume: bool, incarnation: int) -> list[WorkerTask]:
-        return [WorkerTask(rank=rank, world_size=dist.world_size,
-                           model_config=model_config,
-                           train_config=train_config, dist_config=dist,
-                           data_token=token, shard_start=lo, shard_stop=hi,
-                           total_windows=total,
-                           checkpoint_dir=(str(checkpoint_dir)
-                                           if checkpoint_dir else None),
-                           extra_meta=extra_meta, resume=resume,
-                           hooks=_rank_hooks(hooks, rank),
-                           incarnation=incarnation)
-                for rank, (lo, hi) in enumerate(bounds)]
-
-    start = time.perf_counter()
+    bounds = shard_bounds(total, dist.world_size)
+    tasks = [WorkerTask(rank=rank, model_config=model_config,
+                        train_config=train_config, data=token,
+                        shard_start=lo, shard_stop=hi,
+                        checkpoint_dir=(str(checkpoint_dir)
+                                        if checkpoint_dir else None),
+                        extra_meta=extra_meta, hooks=_rank_hooks(hooks, rank),
+                        telemetry=run.enabled, obs=obs_on)
+             for rank, (lo, hi) in enumerate(bounds)]
+    n_params = sum(p.data.size for p in TimeDRL(model_config).parameters())
+    ctx = multiprocessing.get_context(dist.start_method)
+    heartbeats = ctx.RawArray("d", dist.world_size)
+    messages = ctx.Queue()
     restarts = 0
-    result_payload = None
     try:
-        with run.span("pretrain", epochs=train_config.epochs,
-                      batch_size=train_config.batch_size,
-                      world_size=dist.world_size):
-            incarnation = 0
-            while True:
-                tasks = make_tasks(resume=(incarnation > 0), incarnation=incarnation)
-                # A fresh reducer per incarnation: a worker killed while
-                # parked at a barrier leaves a stale waiter count behind,
-                # which would desync (and hang) a group that inherited it.
-                reducer = SharedAllReduce(
-                    ctx, dist.world_size, n_params,
-                    barrier_timeout_s=dist.barrier_timeout_s)
-                group = _Group(ctx, tasks, reducer, heartbeats, messages)
-                if run.enabled:
-                    for process, task in zip(group.processes, tasks):
-                        run.emit("worker", action="started", rank=task.rank,
-                                 pid=process.pid, incarnation=incarnation,
-                                 shard_start=task.shard_start,
-                                 shard_stop=task.shard_stop)
-                outcome = _monitor(group, dist, heartbeats, messages, run,
-                                   train_config, obs_on)
-                group.terminate_and_join()
-                _drain(messages, run, train_config, obs_on)
-                if outcome.kind == "finished":
-                    result_payload = outcome.result
-                    break
-                if outcome.kind == "aborted":
-                    raise TrainingAborted(outcome.detail,
-                                          recoveries=outcome.recoveries)
-                # outcome.kind == "dead"
-                if not dist.elastic or restarts >= dist.max_restarts:
-                    raise TrainingAborted(
-                        f"worker group died ({outcome.detail}) and the "
-                        f"elastic restart budget is exhausted "
-                        f"({restarts}/{dist.max_restarts} restarts used)")
-                restarts += 1
-                incarnation += 1
-                if obs_on:
-                    obs_registry().counter(
-                        "dist_worker_restarts",
-                        "Elastic worker-group restarts").inc()
-                if run.enabled:
-                    run.emit("worker", action="restart", detail=outcome.detail,
-                             incarnation=incarnation, restarts=restarts)
-                if train_config.verbose:
-                    console_log(f"[distributed] {outcome.detail}; restarting "
-                                f"group (attempt {restarts}/"
-                                f"{dist.max_restarts})")
-    except TrainingAborted as error:
-        if owns_run:
-            run.emit("health", check="aborted", phase="run",
-                     error=type(error).__name__, detail=str(error))
-            run.finish("failed")
-        raise
-    except BaseException as error:
-        if owns_run:
-            run.emit("health", check="exception", phase="run",
-                     error=type(error).__name__, detail=str(error))
-            run.record_crash(error)
-        raise
+        while True:
+            # A fresh reducer per incarnation: a rank killed while parked
+            # at a barrier leaves a stale waiter count behind, which would
+            # desync (and hang) a group that inherited it.
+            reducer = SharedAllReduce(ctx, dist.world_size, n_params,
+                                      barrier_timeout_s=dist.barrier_timeout_s)
+            group = _Group(ctx, tasks, reducer, heartbeats, messages)
+            if run.enabled:
+                for process, task in zip(group.processes, tasks):
+                    run.emit("worker", action="started", rank=task.rank,
+                             pid=process.pid, incarnation=restarts,
+                             shard_start=task.shard_start,
+                             shard_stop=task.shard_stop)
+            outcome = _monitor(group, dist, heartbeats, messages, report)
+            group.terminate_and_join()
+            _drain(messages, report)
+            if outcome.kind == "finished":
+                break
+            if outcome.kind == "aborted":
+                raise TrainingAborted(outcome.detail,
+                                      recoveries=outcome.recoveries)
+            # outcome.kind == "dead"
+            if not dist.elastic or restarts >= dist.max_restarts:
+                raise TrainingAborted(
+                    f"worker group died ({outcome.detail}) and the "
+                    f"elastic restart budget is exhausted "
+                    f"({restarts}/{dist.max_restarts} restarts used)")
+            restarts += 1
+            tasks = [dataclasses.replace(task, resume=True) for task in tasks]
+            if obs_on:
+                obs_registry().counter("dist_worker_restarts",
+                                       "Elastic worker-group restarts").inc()
+            if run.enabled:
+                run.emit("worker", action="restart", detail=outcome.detail,
+                         incarnation=restarts, restarts=restarts)
+            if train_config.verbose:
+                console_log(f"[distributed] {outcome.detail}; restarting "
+                            f"group (attempt {restarts}/{dist.max_restarts})")
     finally:
         messages.close()
         messages.join_thread()
-    elapsed = time.perf_counter() - start
-
-    model = TimeDRL(model_config)
-    model.load_state_dict(result_payload["model_state"], strict=True)
-    model.eval()
-    history = [dict(record) for record in result_payload["history"]]
     if run.enabled:
         run.emit("worker", action="finished", world_size=dist.world_size,
-                 restarts=restarts,
-                 global_step=result_payload["global_step"])
-        if history:
-            run.log_summary(final_total=history[-1]["total"],
-                            final_predictive=history[-1]["predictive"],
-                            final_contrastive=history[-1]["contrastive"],
-                            epochs=len(history),
-                            wall_clock_seconds=elapsed)
-    if owns_run:
-        run.finish("completed")
-    return PretrainResult(
-        model=model, history=history, wall_clock_seconds=elapsed,
-        profile=None, run_id=run.run_id,
-        run_dir=str(run.directory) if run.directory is not None else None,
-        checkpoint_dir=str(checkpoint_dir) if checkpoint_dir else None,
-        resumed_from_step=result_payload["resumed_from_step"],
-        world_size=dist.world_size, worker_restarts=restarts)
+                 restarts=restarts, global_step=outcome.result["global_step"])
+    return dict(outcome.result, restarts=restarts)
 
 
 @dataclasses.dataclass
@@ -300,47 +237,17 @@ class _Outcome:
     recoveries: int = 0
 
 
-def _handle_message(message, run, train_config, obs_on) -> dict | None:
-    """Process one worker message; returns the payload for terminal ones."""
-    kind = message["type"]
-    if kind == "epoch":
-        stats = message["stats"]
-        metrics = {key: stats[key]
-                   for key in ("total", "predictive", "contrastive")}
-        metrics["epoch_seconds"] = message["seconds"]
-        metrics["samples"] = message["samples"]
-        if message["seconds"] > 0:
-            metrics["throughput"] = message["samples"] / message["seconds"]
-        if run.enabled:
-            run.log_epoch(message["epoch"], **metrics)
-        if train_config.verbose:
-            console_log(f"[pretrain] epoch {message['epoch']}: "
-                        f"total={stats['total']:.4f} "
-                        f"P={stats['predictive']:.4f} "
-                        f"C={stats['contrastive']:.4f}")
-        return None
-    if kind == "epoch_obs":
-        if obs_on:
-            registry = obs_registry()
-            registry.histogram(
-                "dist_allreduce_seconds",
-                "Per-epoch wall-clock a rank spent in gradient all-reduce",
-                labels=("rank",),
-                buckets=(0.001, 0.01, 0.05, 0.1, 0.5, 1, 5, 30, 60, 300),
-            ).labels(rank=str(message["rank"])).observe(
-                message["allreduce_seconds"])
-            if message["seconds"] > 0:
-                registry.gauge(
-                    "dist_worker_throughput",
-                    "Windows/s a rank processed in its last epoch",
-                    labels=("rank",)).labels(rank=str(message["rank"])).set(
-                    message["samples"] / message["seconds"])
-        return None
-    return message  # result / aborted / error / peer_lost
+def _handle_message(message, report) -> dict | None:
+    """Replay a forwarded record on ``report``; returns any other
+    (terminal) message."""
+    if message["type"] != "report":
+        return message  # result / aborted / error / peer_lost
+    getattr(report, message["call"])(*message["args"], **message["kwargs"])
+    return None
 
 
 def _monitor(group: _Group, dist: DistributedConfig, heartbeats, messages,
-             run, train_config, obs_on) -> _Outcome:
+             report) -> _Outcome:
     """Drain messages and watch exit codes + heartbeats until the group
     finishes, aborts, or loses a worker."""
     result = None
@@ -351,7 +258,7 @@ def _monitor(group: _Group, dist: DistributedConfig, heartbeats, messages,
         try:
             while True:
                 message = _handle_message(messages.get(timeout=_POLL_SECONDS),
-                                          run, train_config, obs_on)
+                                          report)
                 if message is None:
                     continue
                 if message["type"] == "result":
@@ -373,8 +280,8 @@ def _monitor(group: _Group, dist: DistributedConfig, heartbeats, messages,
                                                          EXIT_PEER_LOST)]
             if dead:
                 rank = dead[0]
-                if run.enabled:
-                    run.emit("worker", action="dead", rank=rank,
+                if report.enabled:
+                    report.emit("worker", action="dead", rank=rank,
                              exitcode=codes[rank], reason="exit")
                 return _Outcome("dead", detail=error_detail or
                                 f"rank {rank} exited with status {codes[rank]}")
@@ -384,8 +291,8 @@ def _monitor(group: _Group, dist: DistributedConfig, heartbeats, messages,
                      and now - heartbeats[rank] > dist.heartbeat_timeout_s]
             if stale:
                 rank = stale[0]
-                if run.enabled:
-                    run.emit("worker", action="dead", rank=rank,
+                if report.enabled:
+                    report.emit("worker", action="dead", rank=rank,
                              reason="heartbeat_timeout",
                              stale_seconds=now - heartbeats[rank])
                 return _Outcome("dead", detail=f"rank {rank} heartbeat stale "
@@ -404,8 +311,8 @@ def _monitor(group: _Group, dist: DistributedConfig, heartbeats, messages,
                    if code not in (EXIT_OK, EXIT_ABORTED, EXIT_PEER_LOST)]
         if crashed and error_detail is not None:
             rank, code = crashed[0]
-            if run.enabled:
-                run.emit("worker", action="dead", rank=rank, exitcode=code,
+            if report.enabled:
+                report.emit("worker", action="dead", rank=rank, exitcode=code,
                          reason="exit")
             return _Outcome("dead", detail=error_detail)
         if flush_deadline is None:
@@ -418,8 +325,8 @@ def _monitor(group: _Group, dist: DistributedConfig, heartbeats, messages,
             continue
         if crashed:
             rank, code = crashed[0]
-            if run.enabled:
-                run.emit("worker", action="dead", rank=rank, exitcode=code,
+            if report.enabled:
+                report.emit("worker", action="dead", rank=rank, exitcode=code,
                          reason="exit")
             return _Outcome("dead",
                             detail=f"rank {rank} exited with status {code}")
@@ -436,12 +343,12 @@ def _monitor(group: _Group, dist: DistributedConfig, heartbeats, messages,
                         "barrier")
 
 
-def _drain(messages, run, train_config, obs_on) -> None:
+def _drain(messages, report) -> None:
     """Absorb whatever the (now joined) group left on the queue so late
-    epoch records still feed telemetry and the next incarnation starts
-    with an empty mailbox."""
+    records still reach the run and the next incarnation starts with an
+    empty mailbox."""
     try:
         while True:
-            _handle_message(messages.get_nowait(), run, train_config, obs_on)
+            _handle_message(messages.get_nowait(), report)
     except queue_module.Empty:
         pass

@@ -47,6 +47,7 @@ class SharedAllReduce:
         self.world_size = world_size
         self.n_params = n_params
         self.timeout = barrier_timeout_s
+        self.total_weight = 0.0  # of this process's last reduce
         self._grads = ctx.RawArray("d", world_size * n_params)
         self._stats = ctx.RawArray("d", world_size * _STATS)
         self._enter = ctx.Barrier(world_size)
@@ -69,6 +70,7 @@ class SharedAllReduce:
         ``flat_grads`` is the rank's local mean gradient (``None`` with
         ``weight=0`` when the rank owned no rows of this batch — it still
         participates in both barriers to keep the group in lockstep).
+        The summed weight of every rank is left in ``total_weight``.
         """
         grads, stats = self._views()
         if weight > 0.0 and flat_grads is not None:
@@ -91,6 +93,7 @@ class SharedAllReduce:
             peer = contributors[0]
             reduced = grads[peer].copy()
             loss_means = stats[peer, 1:].copy()
+            total_weight = stats[peer, 0]
         else:
             reduced = np.zeros(self.n_params, dtype=np.float64)
             loss_means = np.zeros(_STATS - 1, dtype=np.float64)
@@ -103,6 +106,7 @@ class SharedAllReduce:
             if total_weight > 0.0:
                 reduced /= total_weight
                 loss_means /= total_weight
+        self.total_weight = float(total_weight)
         self._leave.wait(self.timeout)
         return reduced, dict(zip(_LOSS_KEYS, loss_means.tolist()))
 

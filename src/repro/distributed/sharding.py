@@ -8,34 +8,15 @@ world size trains on the identical global window stream — that is what
 makes world_size=1 trivially bit-identical and larger worlds equivalent
 up to floating-point reassociation of the batch mean.
 
-Shard *materialization* leans on the chunk-invariance of
-:mod:`repro.data.specs`: synthetic specs generate only the canonical
-blocks overlapping the shard (see
-:func:`repro.data.specs.materialize_spec_rows`), stores memory-map only
-the pages a worker's rows touch, and in-memory arrays are sliced.
+A worker gathers only its own rows of each batch: from a store it
+touches only the pages those rows live in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["Shard", "shard_bounds", "shard_assignment", "local_indices"]
-
-
-@dataclass(frozen=True)
-class Shard:
-    """One worker's contiguous slice of the global window index space."""
-
-    rank: int
-    world_size: int
-    start: int
-    stop: int
-
-    @property
-    def rows(self) -> int:
-        return self.stop - self.start
+__all__ = ["shard_bounds", "local_indices"]
 
 
 def shard_bounds(total: int, world_size: int) -> list[tuple[int, int]]:
@@ -58,12 +39,6 @@ def shard_bounds(total: int, world_size: int) -> list[tuple[int, int]]:
         bounds.append((lo, hi))
         lo = hi
     return bounds
-
-
-def shard_assignment(total: int, world_size: int) -> list[Shard]:
-    """The full deterministic rank → shard assignment."""
-    return [Shard(rank=rank, world_size=world_size, start=lo, stop=hi)
-            for rank, (lo, hi) in enumerate(shard_bounds(total, world_size))]
 
 
 def local_indices(indices: np.ndarray, start: int, stop: int) -> np.ndarray:

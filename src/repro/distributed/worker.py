@@ -1,23 +1,27 @@
-"""The per-rank worker process of the data-parallel pre-trainer.
+"""One data-parallel rank: the in-process pre-training loop, plus an
+all-reduce and a record forwarder.
 
 ``run_worker`` is a module-level entrypoint (spawn-compatible: every
-shared handle travels through ``Process`` args) that mirrors the
-single-process ``repro.core`` loop batch for batch:
+shared handle travels through ``Process`` args).  It builds
+:class:`repro.core.pretrain._PretrainLoop` — the loop ``run_pretrain``
+runs in process — over this rank's view of the corpus, and fills the
+loop's two seams with :class:`_Rank`:
 
 * every rank draws the IDENTICAL global batch permutation from the same
-  loader RNG and keeps only the indices inside its shard, so the union
-  of the per-rank selections is exactly the single-process batch stream;
-* local mean gradients are exchanged through
-  :class:`~repro.distributed.reduce.SharedAllReduce`; the reduced
-  gradient is bit-identical on every replica, so optimizer trajectories
-  stay in lockstep with no parameter broadcast;
-* recovery checks (NaN loss/grad, divergence) run on the REDUCED values,
-  so every replica takes the same skip/rollback/abort decision at the
-  same step; on rollback every rank restores the same checkpoint and
-  applies the same LR backoff;
-* rank 0 owns checkpoint saves and the epoch history records (sent to
-  the coordinator over the message queue); every rank reports a
-  per-epoch observability digest.
+  loader RNG and gathers only the rows inside its shard, so the union of
+  the per-rank selections is exactly the single-process batch stream;
+* the gradient reducer flattens the local mean gradient, exchanges it
+  through :class:`~repro.distributed.reduce.SharedAllReduce`, scatters
+  the reduced gradient back and stamps this rank's heartbeat.  The
+  reduced gradient is bit-identical on every replica, so optimizer
+  trajectories stay in lockstep with no parameter broadcast, and the
+  loop's recovery checks read the reduced values, so every replica takes
+  the same skip/rollback/abort decision at the same step;
+* the reporter forwards rank 0's records (steps, epochs, checkpoint and
+  recovery events, ``train_*`` obs metrics, verbose lines) over the
+  message queue; the coordinator replays them on the caller's run.
+  Every rank also reports its all-reduce time and rows for the
+  ``dist_*`` obs families.  Only rank 0 writes checkpoints.
 
 Exit codes tell the coordinator what happened: ``0`` finished, ``1``
 crashed (elastic restart), ``3`` a *peer* died and broke a barrier
@@ -28,28 +32,16 @@ caller).
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from .. import nn
-from ..checkpoint import (
-    CheckpointManager,
-    RecoveryController,
-    TrainingAborted,
-    capture_state,
-    restore_state,
-    rng_state,
-)
+from ..checkpoint import TrainingAborted
 from ..core.config import PretrainConfig, TimeDRLConfig
-from ..core.model import TimeDRL
-from ..data.loader import batch_indices
-from ..data.prefetch import PrefetchLoader
-from ..telemetry import grad_global_norm
-from .config import DistributedConfig
+from ..core.pretrain import _LOSS_KEYS, _batch_fetcher, _PretrainLoop
+from ..data.store import resolve_data_source
 from .reduce import SharedAllReduce, flatten_grads, scatter_grads
 from .sharding import local_indices
 
@@ -67,319 +59,95 @@ class WorkerTask:
     """Everything one rank needs, picklable through ``Process`` args."""
 
     rank: int
-    world_size: int
     model_config: TimeDRLConfig
     train_config: PretrainConfig
-    dist_config: DistributedConfig
-    data_token: object            # see ``_open_shard``
+    data: object                  # resolved data, or a store's path
     shard_start: int
     shard_stop: int
-    total_windows: int
     checkpoint_dir: str | None = None
     extra_meta: dict | None = None
     resume: bool = False          # forced True on elastic restarts
     hooks: object | None = None   # this rank's TrainingHooks, if any
-    incarnation: int = 0          # restart generation (0 = first launch)
-    stats: dict = field(default_factory=dict)
+    telemetry: bool = False       # the caller's run records
+    obs: bool = False             # the caller's obs registry is enabled
 
 
-def _open_shard(token, start: int, stop: int):
-    """Resolve a worker's data token to ``fetch(global_indices) -> (B,T,C)``.
+class _Shard:
+    """This rank's view of the corpus: the global index space, gathering
+    only the rows of each batch that fall inside ``[start, stop)``."""
 
-    Tokens are what the coordinator can cheaply ship to a subprocess:
+    def __init__(self, data, start: int, stop: int):
+        self.size, self.fetch = _batch_fetcher(data)
+        self.start, self.stop = start, stop
 
-    * a ``synthetic_windows`` spec dict — the worker materializes ONLY
-      the canonical generation blocks overlapping its shard
-      (:func:`repro.data.specs.materialize_spec_rows`) and indexes the
-      local slice;
-    * a ``store`` spec dict — the worker memory-maps the on-disk store
-      and gathers global indices directly (pages outside the shard are
-      never touched);
-    * any other spec dict — materialized in full (registry datasets are
-      small);
-    * an in-memory array / ``ForecastingWindows`` — inherited on fork or
-      pickled on spawn; indexed globally.
+    def __len__(self) -> int:
+        return self.size
 
-    Returns ``(fetch, close)``.
-    """
-    from ..data.datasets import ForecastingWindows
-    from ..data.specs import materialize_data_spec, materialize_spec_rows
-
-    if isinstance(token, dict) and "kind" in token:
-        kind = token["kind"]
-        if kind == "synthetic_windows":
-            local = materialize_spec_rows(token, start, stop)
-            return (lambda indices: local[indices - start]), (lambda: None)
-        if kind == "store":
-            from ..data.store import open_store
-
-            dataset = open_store(token["path"])
-            return dataset.batch, dataset.close
-        return _open_shard(materialize_data_spec(token), start, stop)
-    if isinstance(token, ForecastingWindows):
-        return (lambda indices: token.batch(indices)[0]), (lambda: None)
-    samples = np.asarray(token)
-    return (lambda indices: samples[indices]), (lambda: None)
+    def batch(self, indices):
+        mine = local_indices(indices, self.start, self.stop)
+        # No rows of this batch here: the empty index array tells the
+        # loop to skip the forward and still join the all-reduce.
+        return self.fetch(mine) if mine.size else mine
 
 
-class _Rollback(Exception):
-    """Internal signal: every rank restores the last checkpoint."""
+class _Rank:
+    """The loop's two seams in one rank: the gradient reducer
+    (:meth:`reduce`) and the reporter (everything else)."""
 
-
-class _WorkerLoop:
-    """One rank's resumable lockstep loop (mirrors ``core._PretrainLoop``).
-
-    The cursor model is identical to the single-process loop: ``(epoch,
-    batch_in_epoch, global_step)`` plus the loader RNG as of the start of
-    the current epoch.  ``batch_in_epoch`` counts GLOBAL batches, so a
-    checkpoint taken by a distributed run resumes bit-identically in a
-    single process and vice versa.
-    """
-
-    def __init__(self, task: WorkerTask, reducer: SharedAllReduce,
-                 heartbeats, queue):
-        self.task = task
-        self.reducer = reducer
+    def __init__(self, task: WorkerTask, shared: SharedAllReduce, heartbeats,
+                 queue):
+        self.rank = task.rank
+        self.shared = shared
         self.heartbeats = heartbeats
         self.queue = queue
-        self.rank = task.rank
-        cfg = task.train_config
-        self.cfg = cfg
-        self.model = TimeDRL(task.model_config)
-        self.model.train()
-        self.optimizer = nn.AdamW(self.model.parameters(),
-                                  lr=cfg.learning_rate,
-                                  weight_decay=cfg.weight_decay)
-        self.params = self.model.parameters()
-        self.n_params = sum(p.data.size for p in self.params)
-        self.rng = np.random.default_rng(cfg.seed)
-        self.history: list[dict[str, float]] = []
-        self.fetch, self.close_shard = _open_shard(
-            task.data_token, task.shard_start, task.shard_stop)
-        ckpt = cfg.checkpoint
-        self.manager = None
-        self.recovery = None
-        if ckpt is not None:
-            # Every rank opens the manager (rollback restores on all
-            # ranks); only rank 0 ever saves, so there are no write races.
-            self.manager = CheckpointManager(task.checkpoint_dir,
-                                             keep_last=ckpt.keep_last,
-                                             best_metric=ckpt.best_metric,
-                                             best_mode=ckpt.best_mode)
-            self.recovery = RecoveryController(ckpt)
-        self.every_n_batches = ckpt.every_n_batches if ckpt else None
-        self.every_n_epochs = ckpt.every_n_epochs if ckpt else 1
-        # cursor (identical semantics to the single-process loop)
-        self.epoch = 0
-        self.start_batch = 0
-        self.global_step = 0
-        self.pending = None
-        self.epoch_rng_state = None
-        self.active_loader = None
-        self.resumed_from_step = None
-        # per-epoch observability accumulators
-        self.allreduce_seconds = 0.0
+        self.enabled = task.telemetry and task.rank == 0
+        self.obs_on = task.obs
+        self.rows = 0              # local rows since the last epoch report
+        self.reduce_seconds = 0.0  # all-reduce wall-clock, likewise
 
-    # -- state transfer -------------------------------------------------
-    def apply_state(self, state) -> None:
-        restore_state(state, self.model, self.optimizer, loader_rng=self.rng)
-        self.epoch = state.epoch
-        self.start_batch = state.batch_in_epoch
-        self.global_step = state.global_step
-        self.history[:] = [dict(record) for record in state.history]
-        if state.batch_in_epoch > 0:
-            self.pending = (dict(state.epoch_sums), state.epoch_batches,
-                            state.epoch_samples)
-        else:
-            self.pending = None
+    def reduce(self, params, losses, rows):
+        self.heartbeats[self.rank] = time.monotonic()
+        flat, local = None, (0.0, 0.0, 0.0)
+        if losses is not None:
+            flat = flatten_grads(params, self.shared.n_params)
+            local = tuple(float(losses[key].data) for key in _LOSS_KEYS)
+        started = time.perf_counter()
+        reduced, values = self.shared.all_reduce(self.rank, flat, float(rows),
+                                                 local)
+        self.reduce_seconds += time.perf_counter() - started
+        self.rows += rows
+        scatter_grads(params, reduced)
+        return values, int(self.shared.total_weight)
 
-    def _save(self, batch_in_epoch: int, sums, batches: int, samples: int,
-              metrics=None, at_epoch_start: bool = False) -> None:
-        if self.rank != 0:
-            return
-        loader = rng_state(self.rng) if at_epoch_start else self.epoch_rng_state
-        state = capture_state(
-            self.model, self.optimizer, loader_rng_state=loader,
-            epoch=self.epoch, batch_in_epoch=batch_in_epoch,
-            global_step=self.global_step, epoch_sums=sums,
-            epoch_batches=batches, epoch_samples=samples,
-            history=self.history)
-        self.manager.save(state, metrics=metrics,
-                          extra_meta=self.task.extra_meta)
+    # -- reporter: the loop reports through ``enabled`` (rank 0 of a
+    # recording run only); the coordinator replays each forwarded call.
+    def _forward(self, call: str, *args, **kwargs) -> None:
+        self.queue.put({"type": "report", "call": call, "args": args,
+                        "kwargs": kwargs})
 
-    def _rollback(self) -> None:
-        loaded = self.manager.load_latest() if self.manager is not None else None
-        if loaded is None:
-            raise TrainingAborted(
-                "rollback requested but no valid checkpoint is available",
-                recoveries=self.recovery.recoveries if self.recovery else 0)
-        state, __ = loaded
-        self.apply_state(state)
-        self.optimizer.lr = self.optimizer.lr * self.recovery.lr_scale()
+    def emit(self, type: str, **payload) -> None:
+        self._forward("emit", type, **payload)
 
-    # -- data -----------------------------------------------------------
-    def _epoch_source(self, skip: int):
-        """Yield ``(global_rows, x_local)`` for this rank's share of every
-        global batch of the epoch.
+    def log_step(self, step: int, **metrics) -> None:
+        self._forward("log_step", step, **metrics)
 
-        The permutation is drawn from the (shared-seed) loader RNG exactly
-        as in the single-process loop; skipped batches still consume their
-        slot so a resumed epoch replays bit-identically.
-        """
-        cfg = self.cfg
-        task = self.task
-        count = 0
-        for indices in batch_indices(task.total_windows, cfg.batch_size,
-                                     self.rng):
-            if count >= skip:
-                mine = local_indices(indices, task.shard_start,
-                                     task.shard_stop)
-                x = self.fetch(mine) if mine.size else None
-                yield len(indices), x
-            count += 1
-            if (cfg.max_batches_per_epoch is not None
-                    and count >= cfg.max_batches_per_epoch):
-                return
+    def log_epoch(self, epoch: int, **metrics) -> None:
+        self._forward("log_epoch", epoch, **metrics)
 
-    def _close_loader(self) -> None:
-        if self.active_loader is not None:
-            self.active_loader.close()
-            self.active_loader = None
-
-    # -- driving --------------------------------------------------------
-    def run_all(self) -> None:
-        cfg = self.cfg
-        if (self.manager is not None and cfg.checkpoint.wants_rollback
-                and self.global_step == 0):
-            self.epoch_rng_state = rng_state(self.rng)
-            self._save(0, {}, 0, 0, at_epoch_start=True)
-        try:
-            while self.epoch < cfg.epochs:
-                try:
-                    self._run_epoch()
-                except _Rollback:
-                    self._close_loader()
-                    self._rollback()
-        finally:
-            self._close_loader()
-            self.close_shard()
-
-    def _run_epoch(self) -> None:
-        cfg = self.cfg
-        task = self.task
-        epoch = self.epoch
-        epoch_started = time.perf_counter()
-        self.allreduce_seconds = 0.0
-        skip = self.start_batch
-        self.start_batch = 0
-        if self.manager is not None:
-            self.epoch_rng_state = rng_state(self.rng)
-        if self.pending is not None:
-            sums, batches, samples = self.pending
-            self.pending = None
-        else:
-            sums = {"total": 0.0, "predictive": 0.0, "contrastive": 0.0}
-            batches = 0
-            samples = 0
-        batch_in_epoch = skip
-        local_samples = 0
-
-        source = self._epoch_source(skip)
-        if cfg.prefetch:
-            source = self.active_loader = PrefetchLoader(
-                source, depth=cfg.prefetch_depth)
-        for global_rows, x in source:
-            step = self.global_step
-            self.heartbeats[self.rank] = time.monotonic()
-            self.optimizer.zero_grad()
-            flat = None
-            weight = 0.0
-            local_losses = (0.0, 0.0, 0.0)
-            if x is not None and len(x):
-                losses = self.model.pretraining_losses(x)
-                if task.hooks is not None:
-                    task.hooks.on_loss(losses, epoch, batch_in_epoch, step)
-                local_losses = (float(losses["total"].data),
-                                float(losses["predictive"].data),
-                                float(losses["contrastive"].data))
-                losses["total"].backward()
-                if task.hooks is not None:
-                    task.hooks.on_after_backward(self.model, epoch,
-                                                 batch_in_epoch, step)
-                flat = flatten_grads(self.params, self.n_params)
-                weight = float(len(x))
-            reduce_started = time.perf_counter()
-            reduced, red = self.reducer.all_reduce(self.rank, flat, weight,
-                                                   local_losses)
-            self.allreduce_seconds += time.perf_counter() - reduce_started
-            # Recovery decisions use the REDUCED values so every replica
-            # takes the identical action at the identical step.
-            if self.recovery is not None:
-                action = self.recovery.check_loss(red["total"], epoch,
-                                                  batch_in_epoch, step)
-                if action == "skip_batch":
-                    batch_in_epoch += 1
-                    self.global_step += 1
-                    continue
-                if action == "rollback":
-                    raise _Rollback()
-            scatter_grads(self.params, reduced)
-            grad_norm = None
-            if cfg.grad_clip:
-                grad_norm = nn.clip_grad_norm(self.params, cfg.grad_clip)
-            if self.recovery is not None:
-                # Post-scatter the live grads are the reduced gradient in
-                # parameter dtype, so this matches the single-process
-                # computation bit for bit at world size 1.
-                norm_value = (grad_norm if grad_norm is not None
-                              else grad_global_norm(self.params))
-                action = self.recovery.check_grad(float(norm_value), epoch,
-                                                  batch_in_epoch, step)
-                if action == "skip_batch":
-                    batch_in_epoch += 1
-                    self.global_step += 1
-                    continue
-                if action == "rollback":
-                    raise _Rollback()
-            self.optimizer.step()
-            for key, value in zip(sums, red.values()):
-                sums[key] += value
-            batches += 1
-            samples += global_rows
-            local_samples += int(weight)
-            batch_in_epoch += 1
-            self.global_step += 1
-            if (self.manager is not None and self.every_n_batches
-                    and batch_in_epoch % self.every_n_batches == 0):
-                means = {key: value / batches for key, value in sums.items()}
-                self._save(batch_in_epoch, sums, batches, samples,
-                           metrics=means)
-            if task.hooks is not None:
-                task.hooks.on_batch_end(epoch, batch_in_epoch - 1, step)
-
-        self._close_loader()
-        if batches == 0:
-            raise ValueError("pre-training data yielded no batches")
-        epoch_stats = {key: value / batches for key, value in sums.items()}
-        epoch_stats["epoch"] = float(epoch)
-        self.history.append(epoch_stats)
-        epoch_seconds = time.perf_counter() - epoch_started
+    def log(self, text: str) -> None:
         if self.rank == 0:
-            self.queue.put({"type": "epoch", "rank": self.rank,
-                            "epoch": epoch, "stats": dict(epoch_stats),
-                            "samples": samples, "seconds": epoch_seconds})
-        self.queue.put({"type": "epoch_obs", "rank": self.rank,
-                        "epoch": epoch, "samples": local_samples,
-                        "seconds": epoch_seconds,
-                        "allreduce_seconds": self.allreduce_seconds})
-        if self.recovery is not None:
-            action = self.recovery.check_epoch(epoch_stats["total"], epoch)
-            if action == "rollback":
-                raise _Rollback()
-        self.epoch += 1
-        if self.manager is not None and (self.epoch % self.every_n_epochs == 0
-                                         or self.epoch == cfg.epochs):
-            self._save(0, {}, 0, 0, metrics=epoch_stats, at_epoch_start=True)
+            self._forward("log", text)
+
+    def span(self, name: str, **attrs):
+        return contextlib.nullcontext()
+
+    def observe_epoch(self, steps: int, seconds: float,
+                      last_loss: float) -> None:
+        if self.rank == 0:
+            self._forward("observe_epoch", steps, seconds, last_loss)
+        self._forward("observe_rank", self.rank, self.rows, seconds,
+                      self.reduce_seconds)
+        self.rows, self.reduce_seconds = 0, 0.0
 
 
 def run_worker(task: WorkerTask, reducer: SharedAllReduce, heartbeats,
@@ -388,23 +156,25 @@ def run_worker(task: WorkerTask, reducer: SharedAllReduce, heartbeats,
     of the ``EXIT_*`` codes; the coordinator keys its elastic policy off
     the exit status, with queue messages carrying the detail."""
     try:
-        loop = _WorkerLoop(task, reducer, heartbeats, queue)
-        if loop.manager is not None and (task.resume or
-                                         task.train_config.checkpoint.resume):
-            loaded = loop.manager.load_latest()
-            if loaded is not None:
-                loop.apply_state(loaded[0])
-                loop.resumed_from_step = loaded[0].global_step
+        rank = _Rank(task, reducer, heartbeats, queue)
+        data = _Shard(resolve_data_source(task.data), task.shard_start,
+                      task.shard_stop)
+        cfg = task.train_config
+        loop = _PretrainLoop(task.model_config, data, cfg, rank,
+                             hooks=task.hooks,
+                             checkpoint_dir=task.checkpoint_dir,
+                             extra_meta=task.extra_meta, reduce=rank.reduce,
+                             rank=task.rank)
+        resumed_from_step = None
+        if loop.manager is not None and (task.resume or cfg.checkpoint.resume):
+            resumed_from_step = loop.resume_latest()
         loop.run_all()
         if task.rank == 0:
-            loop.model.eval()
             queue.put({"type": "result", "rank": 0,
                        "model_state": loop.model.state_dict(),
-                       "history": [dict(r) for r in loop.history],
+                       "history": loop.history,
                        "global_step": loop.global_step,
-                       "resumed_from_step": loop.resumed_from_step,
-                       "recoveries": (loop.recovery.recoveries
-                                      if loop.recovery else 0)})
+                       "resumed_from_step": resumed_from_step})
         queue.close()
         queue.join_thread()
         raise SystemExit(EXIT_OK)

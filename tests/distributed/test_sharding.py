@@ -1,4 +1,4 @@
-"""Shard assignment and shard-local data materialization.
+"""Shard bounds and shard-local data materialization.
 
 The reproducibility contract: shard layout is a pure function of
 ``(total, world_size)``, every row belongs to exactly one rank, and a
@@ -17,24 +17,24 @@ from repro.data.specs import (
     materialize_spec_rows,
     synthetic_windows_spec,
 )
-from repro.distributed import local_indices, shard_assignment, shard_bounds
+from repro.distributed import local_indices, shard_bounds
 
 
 class TestShardBounds:
     def test_partition_is_exact_and_contiguous(self):
         for total in (1, 7, 40, 4097):
             for world in (1, 2, 3, 5):
-                shards = shard_assignment(total, world)
+                shards = shard_bounds(total, world)
                 assert len(shards) == world
-                assert shards[0].start == 0
-                assert shards[-1].stop == total
+                assert shards[0][0] == 0
+                assert shards[-1][1] == total
                 for left, right in zip(shards, shards[1:]):
-                    assert left.stop == right.start
-                assert sum(s.rows for s in shards) == total
+                    assert left[1] == right[0]
+                assert sum(hi - lo for lo, hi in shards) == total
 
     def test_remainder_goes_to_first_ranks(self):
-        shards = shard_assignment(10, 4)
-        assert [s.rows for s in shards] == [3, 3, 2, 2]
+        shards = shard_bounds(10, 4)
+        assert [hi - lo for lo, hi in shards] == [3, 3, 2, 2]
 
     def test_deterministic(self):
         assert shard_bounds(1000, 3) == shard_bounds(1000, 3)
@@ -44,10 +44,8 @@ class TestShardBounds:
         assert (lo, hi) == (0, 42)
 
     def test_assignment_matches_bounds(self):
-        bounds = shard_bounds(11, 3)
-        for rank, shard in enumerate(shard_assignment(11, 3)):
-            assert (shard.start, shard.stop) == bounds[rank]
-            assert (shard.rank, shard.world_size) == (rank, 3)
+        # Rank r owns bounds[r]; the two remainder rows go to ranks 0, 1.
+        assert shard_bounds(11, 3) == [(0, 4), (4, 8), (8, 11)]
 
 
 class TestLocalIndices:

@@ -31,6 +31,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table3", "--scale", "gigantic"])
 
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_profile_rejects_nonpositive_steps(self, steps, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["profile", "--steps", steps])
+        assert exit_info.value.code != 0
+        err = capsys.readouterr().err
+        assert f"argument --steps: must be >= 1, got {int(steps)}" in err
+        assert "Traceback" not in err
+
 
 class TestMain:
     def test_list_command(self, capsys):

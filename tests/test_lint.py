@@ -3,7 +3,10 @@
 * no bare ``print`` in library code (CI also runs the script directly);
 * no ``scipy`` import in the engine (``repro.nn``) or the compiled
   forward (``repro.compile``): their erf is ``repro.nn.erf``, and scipy
-  stays a reference for tests, scripts and evaluation code only.
+  stays a reference for tests, scripts and evaluation code only;
+* no training step in ``repro.distributed``: its ranks run the one
+  pre-training loop of ``repro.core.pretrain``, so no module there may
+  call ``.backward(`` or ``.pretraining_losses(``.
 """
 
 import ast
@@ -98,3 +101,38 @@ class TestNoScipyInEngine:
                   "from .scipy import erf\n"
                   "s = 'import scipy'\n")
         assert scipy_imports(source) == []
+
+
+TRAINING_STEP_CALLS = ("backward", "pretraining_losses")
+
+
+def training_step_calls(source: str) -> list[int]:
+    """Line numbers of every ``<expr>.backward(...)`` or
+    ``<expr>.pretraining_losses(...)`` call."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in TRAINING_STEP_CALLS)
+
+
+class TestNoTrainingStepInDistributed:
+    def test_distributed_does_not_run_a_training_step(self):
+        root = REPO / "src" / "repro" / "distributed"
+        violations = [f"{path}:{line}: training-step call"
+                      for path in sorted(root.rglob("*.py"))
+                      for line in training_step_calls(
+                          path.read_text(encoding="utf-8"))]
+        assert violations == [], "\n".join(violations)
+
+    def test_detects_both_calls(self):
+        source = ("losses = model.pretraining_losses(x)\n"
+                  "losses['total'].backward()\n"
+                  "def f(self):\n    self.model.pretraining_losses(x).backward()\n")
+        assert training_step_calls(source) == [1, 2, 4, 4]
+
+    def test_ignores_names_and_text(self):
+        source = ('"""calls .backward( on the loss"""\n'
+                  "backward(x)\n"
+                  "fn = model.pretraining_losses\n"
+                  "s = 'x.backward()'\n")
+        assert training_step_calls(source) == []
