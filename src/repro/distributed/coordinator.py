@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing
+import multiprocessing.connection
 import queue as queue_module
 import time
 
@@ -257,8 +258,11 @@ def _monitor(group: _Group, dist: DistributedConfig, heartbeats, messages,
     while True:
         try:
             while True:
-                message = _handle_message(messages.get(timeout=_POLL_SECONDS),
-                                          report)
+                if result is None and abort is None:
+                    message = messages.get(timeout=_POLL_SECONDS)
+                else:
+                    message = messages.get_nowait()
+                message = _handle_message(message, report)
                 if message is None:
                     continue
                 if message["type"] == "result":
@@ -297,6 +301,12 @@ def _monitor(group: _Group, dist: DistributedConfig, heartbeats, messages,
                              stale_seconds=now - heartbeats[rank])
                 return _Outcome("dead", detail=f"rank {rank} heartbeat stale "
                                 f"for {now - heartbeats[rank]:.1f}s")
+            if result is not None or abort is not None:
+                # Training is over: wake as each rank exits, not on the
+                # next queue poll.
+                multiprocessing.connection.wait(
+                    [process.sentinel for process in group.processes
+                     if process.is_alive()], timeout=_POLL_SECONDS)
             continue
 
         # Group fully exited: terminal messages may still be in the pipe —

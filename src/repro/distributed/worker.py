@@ -42,6 +42,7 @@ from ..checkpoint import TrainingAborted
 from ..core.config import PretrainConfig, TimeDRLConfig
 from ..core.pretrain import _LOSS_KEYS, _batch_fetcher, _PretrainLoop
 from ..data.store import resolve_data_source
+from ..nn import tensor as _tensor
 from .reduce import SharedAllReduce, flatten_grads, scatter_grads
 from .sharding import local_indices
 
@@ -155,6 +156,10 @@ def run_worker(task: WorkerTask, reducer: SharedAllReduce, heartbeats,
     """Process entrypoint for one rank.  Exits via ``SystemExit`` with one
     of the ``EXIT_*`` codes; the coordinator keys its elastic policy off
     the exit status, with queue messages carrying the detail."""
+    if reducer.world_size > 1:
+        # A GEMM over all rows would start BLAS threads that fight the
+        # other ranks' for the CPUs (docs/autograd.md "GEMM shapes").
+        _tensor._COLLAPSE_GEMMS = False
     try:
         rank = _Rank(task, reducer, heartbeats, queue)
         data = _Shard(resolve_data_source(task.data), task.shard_start,

@@ -56,6 +56,13 @@ DEFAULT_DTYPE = np.float32
 # another no_grad() is still active).
 _NO_GRAD_DEPTH = 0
 
+# Whether a ``(..., m, k) @ (k, n)`` product that records a graph node runs
+# as one GEMM over all rows (``Tensor.__matmul__``).  Only
+# ``repro.distributed.worker.run_worker`` writes it, switching it off in a
+# rank of a group of two or more, where the larger GEMM's BLAS threads
+# would contend with the other ranks' for the same CPUs.
+_COLLAPSE_GEMMS = True
+
 
 class no_grad:
     """Context manager that disables autograd graph construction.
@@ -371,7 +378,8 @@ class Tensor:
 
             def _backward(grad):
                 self._accumulate_unbroadcast(grad)
-                other._accumulate(_unbroadcast(-grad, other.shape), owned=True)
+                if other.requires_grad:
+                    other._accumulate(_unbroadcast(-grad, other.shape), owned=True)
 
             out._backward = _backward
         return out
@@ -385,8 +393,10 @@ class Tensor:
         if out.requires_grad:
 
             def _backward(grad):
-                self._accumulate(_unbroadcast(grad * other.data, self.shape), owned=True)
-                other._accumulate(_unbroadcast(grad * self.data, other.shape), owned=True)
+                if self.requires_grad:
+                    self._accumulate(_unbroadcast(grad * other.data, self.shape), owned=True)
+                if other.requires_grad:
+                    other._accumulate(_unbroadcast(grad * self.data, other.shape), owned=True)
 
             out._backward = _backward
         return out
@@ -399,11 +409,13 @@ class Tensor:
         if out.requires_grad:
 
             def _backward(grad):
-                self._accumulate(_unbroadcast(grad / other.data, self.shape), owned=True)
-                other._accumulate(
-                    _unbroadcast(-grad * self.data / (other.data**2), other.shape),
-                    owned=True,
-                )
+                if self.requires_grad:
+                    self._accumulate(_unbroadcast(grad / other.data, self.shape), owned=True)
+                if other.requires_grad:
+                    other._accumulate(
+                        _unbroadcast(-grad * self.data / (other.data**2), other.shape),
+                        owned=True,
+                    )
 
             out._backward = _backward
         return out
@@ -438,23 +450,41 @@ class Tensor:
 
         Supported operand shapes: both operands >= 2-D (with broadcasting of
         batch dimensions), 1-D (.) 1-D dot products, 2-D @ 1-D, and 1-D @ 2-D.
+
+        A ``(..., m, k) @ (k, n)`` product that records a graph node runs
+        as one ``(N*m, k) @ (k, n)`` GEMM, and so does each gradient of its
+        backward; every other product keeps ``np.matmul``'s per-matrix
+        GEMMs (see docs/autograd.md "GEMM shapes").
         """
         other = as_tensor(other)
+        a, b = self.data, other.data
+        a2 = None
+        if (_COLLAPSE_GEMMS and a.ndim > 2 and b.ndim == 2 and not _NO_GRAD_DEPTH
+                and (self.requires_grad or other.requires_grad)):
+            a2 = a.reshape(-1, a.shape[-1])
         if _prof._ACTIVE:
             t0 = _prof._now()
-            data = np.matmul(self.data, other.data)
+        if a2 is None:
+            data = np.matmul(a, b)
+        else:
+            data = np.matmul(a2, b).reshape(a.shape[:-1] + b.shape[1:])
+        if _prof._ACTIVE:
             _prof._profiler.record("Tensor.matmul", _prof._now() - t0,
                                    getattr(data, "nbytes", 0))
-        else:
-            data = np.matmul(self.data, other.data)
         out = self._make(data, (self, other))
         if out.requires_grad:
-            a, b = self.data, other.data
 
             def _backward(grad):
                 if _prof._ACTIVE:
                     t0 = _prof._now()
-                if a.ndim == 1 and b.ndim == 1:  # dot product -> scalar
+                if a2 is not None:  # one GEMM per gradient over all N*m rows
+                    g2 = grad.reshape(-1, b.shape[1])
+                    if self.requires_grad:
+                        self._accumulate(np.matmul(g2, b.T).reshape(a.shape),
+                                         owned=True)
+                    if other.requires_grad:
+                        other._accumulate(np.matmul(a2.T, g2), owned=True)
+                elif a.ndim == 1 and b.ndim == 1:  # dot product -> scalar
                     self._accumulate(grad * b, owned=True)
                     other._accumulate(grad * a, owned=True)
                 elif a.ndim == 1:  # (k,) @ (k, n) -> (n,)

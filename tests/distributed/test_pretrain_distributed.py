@@ -16,9 +16,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.checkpoint import TrainingHooks
 from repro.core import PretrainConfig, TimeDRLConfig, run_pretrain
 from repro.data.specs import materialize_data_spec, synthetic_windows_spec
 from repro.distributed import DistributedConfig, pretrain_data_parallel
+from repro.nn import tensor as tensor_module
 
 
 def _model_config(**overrides) -> TimeDRLConfig:
@@ -60,6 +62,21 @@ class TestWorldOfOne:
             distributed=DistributedConfig(world_size=1))
         assert dist.world_size == 1
         assert dist.worker_restarts == 0
+        _assert_bit_identical(single, dist)
+
+    def test_bit_identical_to_in_process_loop_at_bench_geometry(self):
+        # The end-to-end benchmark's geometry and batch: enough rows per
+        # Linear that a rank taking other GEMM shapes than the in-process
+        # loop would change bits.
+        config = _model_config(seq_len=64, input_channels=7, patch_len=8,
+                               stride=8, d_model=64, num_heads=4, num_layers=2)
+        data = np.random.default_rng(1).normal(size=(64, 64, 7)).astype(
+            np.float32)
+        train = _train_config(batch_size=32)
+        single = run_pretrain(config, data, train)
+        dist = pretrain_data_parallel(
+            config, data, train_config=train,
+            distributed=DistributedConfig(world_size=1))
         _assert_bit_identical(single, dist)
 
     def test_run_pretrain_world_one_stays_in_process(self):
@@ -117,6 +134,30 @@ class TestWorldOfTwo:
             train_config=_train_config(),
             distributed=DistributedConfig(world_size=2))
         _assert_bit_identical(from_spec, from_array)
+
+
+class _RecordGemmSwitch(TrainingHooks):
+    """Writes the rank's one-GEMM-over-all-rows switch to ``path``."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def on_batch_end(self, epoch, batch, step):
+        self.path.write_text(str(tensor_module._COLLAPSE_GEMMS))
+
+
+class TestGemmShapes:
+    @pytest.mark.parametrize("world_size, collapsed", [(1, True), (2, False)])
+    def test_ranks_of_a_group_keep_per_matrix_gemms(self, tmp_path,
+                                                     world_size, collapsed):
+        path = tmp_path / "switch"
+        pretrain_data_parallel(
+            _model_config(), _data(), train_config=_train_config(epochs=1),
+            distributed=DistributedConfig(world_size=world_size),
+            hooks={0: _RecordGemmSwitch(path)})
+        assert path.read_text() == str(collapsed)
+        # Only the rank's own process switches.
+        assert tensor_module._COLLAPSE_GEMMS
 
 
 class TestConfigResolution:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.nn import Tensor, concatenate, maximum, minimum, no_grad, stack, where
+from repro.nn import tensor as tensor_module
 from repro.nn.tensor import _unbroadcast
 
 from ..helpers import check_gradients
@@ -175,6 +176,46 @@ class TestMatmulGradients:
 
     def test_batched_matrix_vector(self):
         check_gradients(lambda ts: (ts[0] @ ts[1]).sum(), [(2, 3, 4), (4,)])
+
+    @pytest.mark.parametrize("collapse", [True, False])
+    @pytest.mark.parametrize("a_shape", [(2, 3, 4), (2, 2, 3, 4)])
+    def test_batched_2d_rhs_both_gemm_shapes(self, monkeypatch, a_shape, collapse):
+        # A (..., m, k) @ (k, n) product runs as one GEMM over all rows, or
+        # as per-matrix GEMMs in a data-parallel rank; squaring feeds the
+        # backward a non-uniform gradient.
+        monkeypatch.setattr(tensor_module, "_COLLAPSE_GEMMS", collapse)
+        check_gradients(lambda ts: ((ts[0] @ ts[1]) ** 2).sum(), [a_shape, (4, 5)])
+
+
+class TestGemmShapes:
+    """Which GEMM a (..., m, k) @ (k, n) product runs (docs/autograd.md)."""
+
+    def setup_method(self):
+        # A 64 -> 64 nn.Linear product over 32 windows of 9 patches: with
+        # OpenBLAS the two GEMM shapes differ in the last bits here.
+        rng = np.random.default_rng(0)
+        self.a = rng.standard_normal((32, 9, 64)).astype(np.float32)
+        self.b = rng.standard_normal((64, 64)).astype(np.float32).T
+
+    def test_recorded_product_is_one_gemm_over_all_rows(self):
+        out = Tensor(self.a) @ Tensor(self.b, requires_grad=True)
+        expected = np.matmul(self.a.reshape(-1, 64), self.b).reshape(out.shape)
+        assert np.array_equal(out.data, expected)
+
+    def test_no_grad_product_keeps_per_matrix_gemms(self):
+        # Row-invariant results: serving's bit-identity contracts rest on it.
+        with no_grad():
+            out = Tensor(self.a) @ Tensor(self.b, requires_grad=True)
+        assert np.array_equal(out.data, np.matmul(self.a, self.b))
+
+    def test_product_without_grad_operands_keeps_per_matrix_gemms(self):
+        out = Tensor(self.a) @ Tensor(self.b)
+        assert np.array_equal(out.data, np.matmul(self.a, self.b))
+
+    def test_switched_off_recorded_product_keeps_per_matrix_gemms(self, monkeypatch):
+        monkeypatch.setattr(tensor_module, "_COLLAPSE_GEMMS", False)
+        out = Tensor(self.a) @ Tensor(self.b, requires_grad=True)
+        assert np.array_equal(out.data, np.matmul(self.a, self.b))
 
 
 class TestShapeOps:
