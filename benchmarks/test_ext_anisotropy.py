@@ -13,7 +13,7 @@ mean cosine, lower effective rank) than the dedicated [CLS] embeddings.
 
 import numpy as np
 
-from repro.core import PretrainConfig, pretrain
+from repro.core import PretrainConfig, run_pretrain
 from repro.core.pooling import pool_instance
 from repro.evaluation import anisotropy, effective_rank
 from repro.experiments import (
@@ -31,7 +31,7 @@ DATASET = "HAR"
 def _embeddings_by_strategy(preset):
     data = prepare_classification_data(DATASET, preset, seed=0)
     config = timedrl_classification_config(DATASET, preset, seed=0)
-    model = pretrain(config, data.x_train, PretrainConfig(
+    model = run_pretrain(config, data.x_train, PretrainConfig(
         epochs=preset.classify_pretrain_epochs, batch_size=preset.batch_size,
         max_batches_per_epoch=preset.max_batches, seed=0)).model
     x = data.x_test[:256]

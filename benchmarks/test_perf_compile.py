@@ -108,10 +108,11 @@ SERVE_WINDOWS = 256
 
 
 def _measure_serve(tmp_path: pathlib.Path) -> dict:
-    """Artifact serve-throughput through registry + micro-batching engine,
-    cache off — comparable to ``BENCH_serve.json``'s ``warm_nocache``."""
+    """Artifact serve-throughput through registry + gateway, cache off —
+    comparable to ``BENCH_serve.json``'s ``warm_nocache``."""
     from repro.compile import save_compiled
-    from repro.serve import InferenceService, ServiceConfig
+    from repro.serve import (BatchingConfig, GatewayConfig, ModelRegistry,
+                             ServingGateway)
 
     model, compiled = _build_models()
     rng = np.random.default_rng(2)
@@ -121,8 +122,10 @@ def _measure_serve(tmp_path: pathlib.Path) -> dict:
     rows = {}
     for name, variant in compiled.items():
         path = save_compiled(tmp_path / f"{name}.npz", variant)
-        service = InferenceService.from_checkpoint(
-            path, ServiceConfig(max_batch_size=32, cache_size=0))
+        registry = ModelRegistry()
+        registry.load(path, alias="serving")
+        service = ServingGateway(registry, "serving", GatewayConfig(
+            batching=BatchingConfig(max_batch_size=32), cache_size=0))
         service.serve_windows(windows[:8], request_size=1)   # warm
         start = time.perf_counter()
         service.serve_windows(windows, request_size=1)

@@ -34,9 +34,10 @@ import time
 import numpy as np
 
 from repro.checkpoint import CheckpointConfig
-from repro.core import PretrainConfig, TimeDRLConfig, pretrain
+from repro.core import PretrainConfig, TimeDRLConfig, run_pretrain
 from repro.obs import metrics as obs_metrics
-from repro.serve import InferenceService, ServiceConfig
+from repro.serve import (BatchingConfig, GatewayConfig, ModelRegistry,
+                         ServingGateway)
 
 from conftest import run_once
 
@@ -56,9 +57,9 @@ def _train_once() -> float:
         (WORKLOAD["train_windows"], WORKLOAD["seq_len"],
          WORKLOAD["channels"])).astype(np.float32)
     start = time.perf_counter()
-    pretrain(TimeDRLConfig(**MODEL), data,
-             PretrainConfig(epochs=WORKLOAD["train_epochs"], batch_size=16,
-                            seed=0))
+    run_pretrain(TimeDRLConfig(**MODEL), data,
+                 PretrainConfig(epochs=WORKLOAD["train_epochs"],
+                                batch_size=16, seed=0))
     return time.perf_counter() - start
 
 
@@ -109,10 +110,11 @@ def _measure_suite(checkpoint_dir) -> dict:
          WORKLOAD["channels"])).astype(np.float32)
     # cache_size=1 with unique windows: every request misses, so the
     # forward pass (not the cache) dominates both regimes equally.
-    service = InferenceService.from_checkpoint(
-        checkpoint_dir,
-        ServiceConfig(max_batch_size=WORKLOAD["max_batch_size"],
-                      cache_size=1))
+    registry = ModelRegistry()
+    registry.load(checkpoint_dir, alias="serving")
+    service = ServingGateway(registry, "serving", GatewayConfig(
+        batching=BatchingConfig(max_batch_size=WORKLOAD["max_batch_size"]),
+        cache_size=1))
     for __ in range(3):  # warm code paths and the allocator
         service.serve_windows(serve_windows,
                               request_size=WORKLOAD["request_size"])
@@ -135,7 +137,7 @@ def test_perf_obs(benchmark, tmp_path):
     data = np.random.default_rng(0).standard_normal(
         (48, WORKLOAD["seq_len"], WORKLOAD["channels"])).astype(np.float32)
     obs_metrics.disable()
-    pretrain(TimeDRLConfig(**MODEL), data, PretrainConfig(
+    run_pretrain(TimeDRLConfig(**MODEL), data, PretrainConfig(
         epochs=1, batch_size=16, seed=0,
         checkpoint=CheckpointConfig(directory=str(tmp_path / "ckpt"),
                                     every_n_epochs=1)))

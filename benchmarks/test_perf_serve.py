@@ -3,15 +3,15 @@
 Unlike the table/figure benchmarks this one times the *serving subsystem*:
 a pre-trained checkpoint is loaded through the :class:`ModelRegistry` and
 a repeated-window workload is pushed through the
-:class:`InferenceService` micro-batching front door, the way the
-``repro serve`` CLI does.
+:class:`ServingGateway` front door (one ``default`` tenant, no quota) in
+batch mode, the way the ``repro serve`` CLI does.
 
 It emits ``BENCH_serve.json`` at the repo root with three measurement
 sets over the same workload:
 
 * ``direct``   — plain ``model.encode()`` over the full workload in one
   batch: the no-serving-overhead ceiling;
-* ``cold``     — the service with an empty cache (every request misses),
+* ``cold``     — the gateway with an empty cache (every request misses),
   isolating the micro-batching/queueing overhead;
 * ``warm``     — the same workload replayed against the populated cache
   (every request hits), which is the dashboards-re-scoring-recent-history
@@ -34,8 +34,9 @@ import time
 import numpy as np
 
 from repro.checkpoint import CheckpointConfig
-from repro.core import PretrainConfig, TimeDRLConfig, pretrain
-from repro.serve import EmbeddingCache, InferenceService, ServiceConfig
+from repro.core import PretrainConfig, TimeDRLConfig, run_pretrain
+from repro.serve import (BatchingConfig, GatewayConfig, ModelRegistry,
+                         ServingGateway)
 
 from conftest import run_once
 
@@ -54,7 +55,7 @@ def _make_checkpoint(directory: pathlib.Path) -> pathlib.Path:
     rng = np.random.default_rng(0)
     windows = rng.standard_normal(
         (64, WORKLOAD["seq_len"], WORKLOAD["channels"])).astype(np.float32)
-    pretrain(config, windows, PretrainConfig(
+    run_pretrain(config, windows, PretrainConfig(
         epochs=1, batch_size=16, seed=0,
         checkpoint=CheckpointConfig(directory=str(directory),
                                     every_n_epochs=1)))
@@ -67,17 +68,22 @@ def _measure_suite(checkpoint_dir: pathlib.Path) -> dict:
         (WORKLOAD["windows"], WORKLOAD["seq_len"], WORKLOAD["channels"]),
     ).astype(np.float32)
 
-    service = InferenceService.from_checkpoint(
-        checkpoint_dir,
-        ServiceConfig(max_batch_size=WORKLOAD["max_batch_size"],
-                      cache_size=2 * WORKLOAD["windows"]))
-    model = service.loaded.model
+    registry = ModelRegistry()
+    model = registry.load(checkpoint_dir, alias="serving").model
+
+    def gateway(cache_size: int) -> ServingGateway:
+        return ServingGateway(registry, "serving", GatewayConfig(
+            batching=BatchingConfig(max_batch_size=WORKLOAD["max_batch_size"]),
+            cache_size=cache_size))
+
     model.encode(windows[:8])  # warm both paths before any timing
-    service.serve_windows(windows[:8], request_size=1)
-    service.engine.latency["encode"].reset()
-    # Fresh cache so the warm-up's hits/misses don't pollute the counters.
-    service.cache = EmbeddingCache(2 * WORKLOAD["windows"])
-    service.engine.cache = service.cache
+    gateway(0).serve_windows(windows[:8], request_size=1)
+    # A fresh gateway, so the warm-up's hits/misses don't pollute the
+    # counters; the model's kernels stay warm.
+    service = gateway(2 * WORKLOAD["windows"])
+    # Same loaded model, no cache at all: every request pays the forward,
+    # but the kernels are warm — the cacheless-throughput row.
+    nocache = gateway(0)
 
     def timed_direct():
         start = time.perf_counter()
@@ -86,43 +92,21 @@ def _measure_suite(checkpoint_dir: pathlib.Path) -> dict:
 
     direct_s = timed_direct()
 
-    def timed_pass():
-        hist = service.engine.latency["encode"]
+    def timed_pass(front: ServingGateway) -> dict:
+        hist = front.engine.latency["encode"]
         hist.reset()
         start = time.perf_counter()
-        service.serve_windows(windows,
-                              request_size=WORKLOAD["request_size"])
+        front.serve_windows(windows, request_size=WORKLOAD["request_size"])
         elapsed = time.perf_counter() - start
         return {"windows_per_s": WORKLOAD["windows"] / elapsed,
                 "elapsed_s": elapsed,
                 "p50_ms": hist.percentile(50),
                 "p95_ms": hist.percentile(95)}
 
-    cold = timed_pass()          # cache empty: every request misses
-    warm = timed_pass()          # cache populated: every request hits
+    cold = timed_pass(service)    # cache empty: every request misses
+    warm = timed_pass(service)    # cache populated: every request hits
     stats = service.cache.stats()
-
-    # Same loaded model, no cache at all: every request pays the forward,
-    # but the kernels are warm — the cacheless-throughput row.
-    nocache = InferenceService(
-        service.loaded,
-        ServiceConfig(max_batch_size=WORKLOAD["max_batch_size"],
-                      cache_size=0))
-    nocache.serve_windows(windows[:8], request_size=1)
-
-    def timed_nocache():
-        hist = nocache.engine.latency["encode"]
-        hist.reset()
-        start = time.perf_counter()
-        nocache.serve_windows(windows,
-                              request_size=WORKLOAD["request_size"])
-        elapsed = time.perf_counter() - start
-        return {"windows_per_s": WORKLOAD["windows"] / elapsed,
-                "elapsed_s": elapsed,
-                "p50_ms": hist.percentile(50),
-                "p95_ms": hist.percentile(95)}
-
-    warm_nocache = timed_nocache()
+    warm_nocache = timed_pass(nocache)
 
     return {
         "direct": {"windows_per_s": WORKLOAD["windows"] / direct_s,
@@ -193,7 +177,7 @@ def _measure_overload(checkpoint_dir: pathlib.Path) -> dict:
                 shed += 1
                 gateway.flush()    # drain the admitted backlog, move on
         gateway.flush()
-        hist = gateway._engine.latency["encode"]
+        hist = gateway.engine.latency["encode"]
         gated = {"served": served, "shed": shed,
                  "p50_ms": hist.percentile(50),
                  "p99_ms": hist.percentile(99),

@@ -17,9 +17,9 @@ from repro.core import (
     TimeDRL,
     TimeDRLConfig,
     linear_evaluate_classification,
-    pretrain,
 )
 from repro.data import load_classification_dataset, make_classification_data
+from repro.train import TrainOptions, pretrain
 
 
 def main() -> None:
@@ -43,8 +43,8 @@ def main() -> None:
             channel_independence=False,  # the paper's classification setting
             seed=0,
         )
-        outcome = pretrain(config, data.x_train,
-                           PretrainConfig(epochs=3, batch_size=32, seed=0))
+        outcome = pretrain(config, data.x_train, TrainOptions(
+            pretrain=PretrainConfig(epochs=3, batch_size=32, seed=0)))
         scores = linear_evaluate_classification(outcome.model, data, epochs=100)
         results[pooling] = scores
         print(f"pooling={pooling:>4}: ACC={scores.accuracy:5.1f}% "
@@ -59,7 +59,7 @@ def main() -> None:
                            patch_len=16, stride=16, d_model=32, num_heads=4,
                            num_layers=2, seed=0)
     model = TimeDRL(config)
-    embeddings = model.instance_embeddings(data.x_test)
+    embeddings = model.encode(data.x_test)[1]
     print(f"\ninstance embeddings for the test split: {embeddings.shape}")
     per_class = {cls: embeddings[data.y_test == cls].mean(axis=0)
                  for cls in np.unique(data.y_test)}

@@ -10,14 +10,9 @@ beats training the same architecture from scratch.
 Run:  python examples/electricity_forecasting.py
 """
 
-from repro.core import (
-    PretrainConfig,
-    TimeDRL,
-    TimeDRLConfig,
-    fine_tune_forecasting,
-    pretrain,
-)
+from repro.core import PretrainConfig, TimeDRL, TimeDRLConfig
 from repro.data import load_forecasting_dataset, make_forecasting_data
+from repro.train import TrainOptions, fine_tune_forecasting, pretrain
 
 
 def main() -> None:
@@ -28,23 +23,20 @@ def main() -> None:
                            channel_independence=True, seed=1)
 
     # Pre-train once on ALL unlabeled windows.
-    pretrained = pretrain(config, data.train,
-                          PretrainConfig(epochs=3, batch_size=32, seed=1)).model
+    pretrained = pretrain(config, data.train, TrainOptions(
+        pretrain=PretrainConfig(epochs=3, batch_size=32, seed=1))).model
     state = pretrained.state_dict()
 
     print(f"{'labels':>8} | {'supervised MSE':>15} | {'TimeDRL (FT) MSE':>17}")
     print("-" * 48)
     for fraction in (0.1, 0.5, 1.0):
         supervised_model = TimeDRL(config)  # random init
-        supervised = fine_tune_forecasting(supervised_model, data,
-                                           label_fraction=fraction,
-                                           epochs=3, seed=1)
+        options = TrainOptions(label_fraction=fraction, epochs=3, seed=1)
+        supervised = fine_tune_forecasting(supervised_model, data, options)
 
         finetuned_model = TimeDRL(config)
         finetuned_model.load_state_dict(state)  # warm start from pre-training
-        finetuned = fine_tune_forecasting(finetuned_model, data,
-                                          label_fraction=fraction,
-                                          epochs=3, seed=1)
+        finetuned = fine_tune_forecasting(finetuned_model, data, options)
         print(f"{fraction:>7.0%} | {supervised.mse:>15.4f} | {finetuned.mse:>17.4f}")
 
     print("\nThe gap should widen as the label fraction shrinks (paper Fig. 5).")

@@ -14,13 +14,10 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro.core import (
-    PretrainConfig,
-    TimeDRLConfig,
-    linear_evaluate_forecasting,
-    pretrain,
-)
+from repro.core import (PretrainConfig, TimeDRLConfig,
+                        linear_evaluate_forecasting)
 from repro.data import load_forecasting_dataset, make_forecasting_data
+from repro.train import TrainOptions, pretrain
 
 
 def main() -> None:
@@ -48,8 +45,8 @@ def main() -> None:
         lambda_weight=1.0,      # L = L_P + lambda * L_C (Eq. 19)
         channel_independence=True,  # the paper's forecasting setting
     )
-    result = pretrain(config, data.train,
-                      PretrainConfig(epochs=3, batch_size=32, verbose=True))
+    result = pretrain(config, data.train, TrainOptions(
+        pretrain=PretrainConfig(epochs=3, batch_size=32, verbose=True)))
     print(f"pre-trained in {result.wall_clock_seconds:.1f}s, "
           f"final loss {result.final_loss:.4f}")
 
@@ -63,7 +60,7 @@ def main() -> None:
     # 4. Dual-level embeddings from one batch.
     # ------------------------------------------------------------------
     x, __ = data.test.batch(np.arange(4))
-    instance, timestamp = result.model.embed(x)
+    timestamp, instance = result.model.encode(x)
     print(f"instance-level  z_i: {instance.shape}  ([CLS] token per channel series)")
     print(f"timestamp-level z_t: {timestamp.shape}  (one embedding per patch)")
 

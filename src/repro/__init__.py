@@ -2,9 +2,10 @@
 
 Public entry points::
 
-    from repro.core import TimeDRL, TimeDRLConfig, pretrain
+    from repro.core import TimeDRL, TimeDRLConfig
+    from repro.train import TrainSession, pretrain
     from repro.data import load_forecasting_dataset, load_classification_dataset
-    from repro.evaluation import evaluate_forecasting, evaluate_classification
+    from repro.evaluation import ridge_probe_forecasting, linear_probe_classification
 """
 
 __version__ = "1.0.0"

@@ -608,98 +608,13 @@ def _parse_tenants(specs):
     return tuple(tenants)
 
 
-def _run_serve_gateway(args, run) -> int:
-    """``repro serve --gateway`` — the workload through the resilient
-    multi-tenant front door (admission, deadlines, breaker)."""
-    from .serve import (BatchingConfig, DeadlineExceeded, GatewayConfig,
-                        ModelRegistry, RegistryError, RetryableError,
-                        ServingGateway)
-
-    try:
-        registry = ModelRegistry(run=run)
-        registry.load(str(args.checkpoint), alias="serving",
-                      run_root=str(args.run_root))
-        tenants = (_parse_tenants(args.tenant) if args.tenant
-                   else _parse_tenants(["default"]))
-        gateway = ServingGateway(registry, "serving", GatewayConfig(
-            tenants=tenants,
-            max_queue_windows=args.queue_windows,
-            default_deadline_ms=args.deadline_ms or None,
-            stale_ok=args.stale_ok,
-            batching=BatchingConfig(max_batch_size=args.batch_size,
-                                    max_wait_ms=args.max_wait_ms),
-            cache_size=args.cache_size))
-        windows = _serve_load_input(args, gateway.loaded)
-    except (RegistryError, ValueError, OSError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        if run is not None:
-            run.finish(status="failed")
-        return 1
-    names = [tenant.name for tenant in tenants]
-    console_log(f"gateway serving {len(windows)} windows x{args.repeats} "
-                f"(tenants={','.join(names)}, queue budget "
-                f"{args.queue_windows} windows, "
-                f"deadline={args.deadline_ms or 'none'}ms, "
-                f"stale_ok={args.stale_ok}) "
-                f"[{gateway.fingerprint[:12]}]")
-    size = max(1, args.request_size)
-    served = rejected = 0
-    with gateway:
-        for _ in range(args.repeats):
-            pending = []
-            for start in range(0, len(windows), size):
-                tenant = names[(start // size) % len(names)]
-                x = windows[start:start + size]
-                try:
-                    pending.append(gateway.submit(x, args.mode,
-                                                  tenant=tenant))
-                except (RetryableError, DeadlineExceeded):
-                    # Behave like a well-mannered client: drain the
-                    # admitted backlog, then retry once.
-                    gateway.flush()
-                    try:
-                        pending.append(gateway.submit(x, args.mode,
-                                                      tenant=tenant))
-                    except (RetryableError, DeadlineExceeded):
-                        rejected += 1
-            gateway.flush()
-            for request in pending:
-                try:
-                    request.result(0.0)
-                    served += 1
-                except (RetryableError, DeadlineExceeded):
-                    rejected += 1
-        report = gateway.report()
-    console_log(f"served {served} requests, shed {rejected} "
-                f"({report['shed']}) — admitted per tenant "
-                f"{report['admission']['admitted']}")
-    latency = report["latency"][args.mode]
-    if latency["count"]:
-        console_log(f"latency per request: p50={latency['p50_ms']:.2f}ms "
-                    f"p95={latency['p95_ms']:.2f}ms over "
-                    f"{latency['count']} requests")
-    if args.report is not None:
-        args.report.parent.mkdir(parents=True, exist_ok=True)
-        args.report.write_text(json.dumps(report, indent=2, sort_keys=True)
-                               + "\n")
-        console_log(f"wrote {args.report}")
-    if args.obs_export is not None:
-        from . import obs
-
-        args.obs_export.parent.mkdir(parents=True, exist_ok=True)
-        args.obs_export.write_text(obs.prometheus_text(obs.get_registry()))
-        console_log(f"wrote {args.obs_export}")
-    if run is not None:
-        run.finish(status="completed")
-        console_log(f"recorded run {run.run_id} under {args.run_root}")
-    return 0
-
-
 def _run_serve(args) -> int:
-    """``repro serve`` — serve embeddings/predictions from a checkpoint."""
+    """``repro serve`` — serve embeddings/predictions from a checkpoint
+    through the gateway (admission, deadlines, breaker, cache)."""
     import numpy as np
 
-    from .serve import InferenceService, RegistryError, ServiceConfig
+    from .serve import (BatchingConfig, GatewayConfig, ModelRegistry,
+                        RegistryError, ServingGateway)
 
     if args.obs:
         from . import obs
@@ -708,48 +623,61 @@ def _run_serve(args) -> int:
     if args.telemetry:
         run = Run.create(root=args.run_root, name="serve",
                          tags={"mode": args.mode,
-                               "checkpoint": str(args.checkpoint),
-                               "gateway": bool(args.gateway)})
-    if args.gateway:
-        return _run_serve_gateway(args, run)
-    config = ServiceConfig(max_batch_size=args.batch_size,
-                           max_wait_ms=args.max_wait_ms,
-                           cache_size=args.cache_size)
+                               "checkpoint": str(args.checkpoint)})
     try:
-        service = InferenceService.from_checkpoint(
-            str(args.checkpoint), config, run=run, run_root=args.run_root)
-        windows = _serve_load_input(args, service.loaded)
+        registry = ModelRegistry(run=run)
+        loaded = registry.load(str(args.checkpoint), alias="serving",
+                               run_root=str(args.run_root))
+        tenants = _parse_tenants(args.tenant or ["default"])
+        gateway = ServingGateway(registry, "serving", GatewayConfig(
+            tenants=tenants,
+            max_queue_windows=args.queue_windows,
+            default_deadline_ms=args.deadline_ms or None,
+            stale_ok=args.stale_ok,
+            batching=BatchingConfig(max_batch_size=args.batch_size,
+                                    max_wait_ms=args.max_wait_ms),
+            cache_size=args.cache_size), run=run)
+        windows = _serve_load_input(args, loaded)
+        names = tuple(tenant.name for tenant in tenants)
         console_log(
             f"serving {len(windows)} windows x{args.repeats} "
             f"(mode={args.mode}, batch={args.batch_size}, "
-            f"cache={args.cache_size}) from {service.loaded.source} "
-            f"[{service.loaded.fingerprint[:12]}]")
+            f"cache={args.cache_size}, tenants={','.join(names)}, queue "
+            f"budget {args.queue_windows} windows, "
+            f"deadline={args.deadline_ms or 'none'}ms) from "
+            f"{loaded.source} [{loaded.fingerprint[:12]}]")
         result = None
-        for __ in range(args.repeats):
-            result = service.serve_windows(windows, mode=args.mode,
-                                           request_size=args.request_size)
+        with gateway:
+            for __ in range(args.repeats):
+                result = gateway.serve_windows(
+                    windows, mode=args.mode, request_size=args.request_size,
+                    tenants=names)
+            report = gateway.report()
     except (RegistryError, ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         if run is not None:
             run.finish(status="failed")
         return 1
 
-    report = service.report()
     throughput = report["throughput"]
-    latency = report["latency_ms"][args.mode]
     console_log(f"served {throughput['windows']} windows in "
                 f"{throughput['elapsed_s']:.3f}s "
-                f"({throughput['windows_per_s']:.0f} windows/s)")
-    console_log(f"latency per request: p50={latency['p50_ms']:.2f}ms "
-                f"p95={latency['p95_ms']:.2f}ms over {latency['count']} "
-                f"requests in {report['engine']['batches_run']} micro-batches")
-    if "cache" in report:
-        cache = report["cache"]
+                f"({throughput['windows_per_s']:.0f} windows/s); shed "
+                f"{report['shed']}, admitted per tenant "
+                f"{report['admission']['admitted']}")
+    latency = report["latency"][args.mode]
+    if latency["count"]:
+        console_log(f"latency per request: p50={latency['p50_ms']:.2f}ms "
+                    f"p95={latency['p95_ms']:.2f}ms over "
+                    f"{latency['count']} requests in "
+                    f"{report['engine']['batches_run']} micro-batches")
+    cache = report["cache"]
+    if cache is not None:
         console_log(f"cache: {cache['hits']} hits / {cache['misses']} misses "
                     f"(hit rate {cache['hit_rate']:.1%}, "
                     f"{cache['evictions']} evictions)")
 
-    if args.output is not None:
+    if args.output is not None and result is not None:
         args.output.parent.mkdir(parents=True, exist_ok=True)
         if args.mode == "encode":
             timestamp, instance = result
@@ -815,7 +743,7 @@ def _run_swap(args) -> int:
             # request both serves the caller and feeds one shadow verdict.
             loaded = gateway.loaded
             rng = np.random.default_rng(args.seed)
-            size = max(1, args.request_size)
+            size = args.request_size
             requests = max(args.traffic // size if args.traffic else 0,
                            config.shadow_requests + 2)
             for index in range(requests):
@@ -859,28 +787,28 @@ def _run_swap(args) -> int:
 # ----------------------------------------------------------------------
 # ``repro obs`` — metrics snapshot / export / live dashboard
 # ----------------------------------------------------------------------
-def _obs_service(args, run=None):
-    """Optionally stand up an InferenceService for a synthetic workload.
+def _obs_gateway(args):
+    """Optionally stand up a gateway for a synthetic workload.
 
-    Returns ``(service, windows)`` or ``(None, None)`` when no checkpoint
+    Returns ``(gateway, windows)`` or ``(None, None)`` when no checkpoint
     was given — the obs commands then report whatever the process has
     already collected (resource gauges at minimum).
     """
     import numpy as np
 
-    from .serve import InferenceService, ServiceConfig
+    from .serve import ModelRegistry, ServingGateway
 
     if args.checkpoint is None:
         return None, None
-    service = InferenceService.from_checkpoint(
-        str(args.checkpoint), ServiceConfig(), run=run,
-        run_root=str(_DEFAULT_RUN_ROOT))
+    registry = ModelRegistry()
+    loaded = registry.load(str(args.checkpoint), alias="serving",
+                           run_root=str(_DEFAULT_RUN_ROOT))
     rng = np.random.default_rng(args.seed)
     count = args.synthetic or 16
     windows = rng.standard_normal(
-        (count, service.loaded.config.seq_len,
-         service.loaded.config.input_channels)).astype(np.float32)
-    return service, windows
+        (count, loaded.config.seq_len,
+         loaded.config.input_channels)).astype(np.float32)
+    return ServingGateway(registry, "serving"), windows
 
 
 def _obs_slo_rules(args):
@@ -906,17 +834,16 @@ def _run_obs(args) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 1
     try:
-        service, windows = _obs_service(args)
+        gateway, windows = _obs_gateway(args)
     except (RegistryError, ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
 
     def tick():
-        if service is not None:
-            service.serve_windows(windows, mode="encode",
+        if gateway is not None:
+            gateway.serve_windows(windows, mode="encode",
                                   request_size=args.request_size)
-            if service.cache is not None:
-                service.cache.stats()  # refreshes the hit-rate gauge
+            gateway.cache.stats()  # refreshes the hit-rate gauge
         sampler.sample_once()
 
     registry = obs.get_registry()
@@ -1442,7 +1369,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="micro-batch size (max windows per forward pass)")
     serve.add_argument("--max-wait-ms", type=float, default=2.0,
                        help="micro-batch deadline for the threaded engine")
-    serve.add_argument("--request-size", type=int, default=1,
+    serve.add_argument("--request-size", type=_positive_int, default=1,
                        help="windows per request (cache granularity)")
     serve.add_argument("--cache-size", type=int, default=1024,
                        help="embedding-cache capacity in requests (0 = off)")
@@ -1462,10 +1389,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="FILE",
                        help="after serving, write the Prometheus text "
                             "exposition here (implies --obs)")
-    serve.add_argument("--gateway", action="store_true",
-                       help="serve through the resilient multi-tenant "
-                            "gateway (admission control, deadlines, "
-                            "circuit breaker) instead of the bare service")
     serve.add_argument("--tenant", action="append", default=None,
                        metavar="NAME[:WEIGHT[:RATE[:BURST]]]",
                        help="gateway tenant spec (repeatable); WEIGHT is "
@@ -1500,7 +1423,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="drive N synthetic live windows through the "
                            "gateway during shadowing (default: just enough "
                            "to score the shadow requests)")
-    swap.add_argument("--request-size", type=int, default=2,
+    swap.add_argument("--request-size", type=_positive_int, default=2,
                       help="windows per live request")
     swap.add_argument("--mode", choices=("encode", "predict"),
                       default="encode")
@@ -1542,7 +1465,8 @@ def build_parser() -> argparse.ArgumentParser:
                                   "are live")
         obs_cmd.add_argument("--synthetic", type=int, default=0, metavar="N",
                              help="synthetic windows per tick (default 16)")
-        obs_cmd.add_argument("--request-size", type=int, default=1)
+        obs_cmd.add_argument("--request-size", type=_positive_int, default=1,
+                             help="windows per request")
         obs_cmd.add_argument("--slo", action="append", default=None,
                              metavar="RULE",
                              help="SLO predicate such as "

@@ -10,8 +10,6 @@ from .finetune import (
     RidgeRegressor,
     extract_forecast_features,
     extract_instance_features,
-    fine_tune_classification,
-    fine_tune_forecasting,
     linear_evaluate_classification,
     linear_evaluate_forecasting,
     run_finetune_classification,
@@ -28,8 +26,8 @@ from .patching import (
     unpatchify,
 )
 from .pooling import instance_dim, pool_instance
-from .pretrain import PretrainResult, iterate_pretrain_batches, pretrain, run_pretrain
-from .transfer import TransferResult, run_transfer, transfer_forecasting
+from .pretrain import PretrainResult, iterate_pretrain_batches, run_pretrain
+from .transfer import TransferResult, run_transfer
 
 __all__ = [
     "TimeDRLConfig", "PretrainConfig", "RuntimeOptions", "resolve_runtime",
@@ -39,11 +37,10 @@ __all__ = [
     "instance_norm", "patchify", "unpatchify", "num_patches",
     "to_channel_independent", "from_channel_independent",
     "pool_instance", "instance_dim",
-    "run_pretrain", "pretrain", "PretrainResult", "iterate_pretrain_batches",
+    "run_pretrain", "PretrainResult", "iterate_pretrain_batches",
     "linear_evaluate_forecasting", "linear_evaluate_classification",
     "run_finetune_forecasting", "run_finetune_classification",
-    "fine_tune_forecasting", "fine_tune_classification",
     "ForecastResult", "ClassificationResult", "ForecastHead", "RidgeRegressor",
     "extract_forecast_features", "extract_instance_features",
-    "TransferResult", "run_transfer", "transfer_forecasting",
+    "TransferResult", "run_transfer",
 ]

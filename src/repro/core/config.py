@@ -126,7 +126,7 @@ class TimeDRLConfig:
 class PretrainConfig:
     """Optimisation settings for the self-supervised pre-training stage.
 
-    Telemetry fields: ``telemetry=True`` makes :func:`repro.core.pretrain`
+    Telemetry fields: ``telemetry=True`` makes :func:`repro.core.run_pretrain`
     open a :class:`repro.telemetry.Run` under ``run_root`` and record a
     manifest, structured events and per-step/per-epoch metrics there.
     With ``telemetry=False`` (the default) the training trajectory is

@@ -58,8 +58,6 @@ __all__ = [
     "linear_evaluate_classification",
     "run_finetune_forecasting",
     "run_finetune_classification",
-    "fine_tune_forecasting",
-    "fine_tune_classification",
     "ForecastHead",
 ]
 
@@ -520,63 +518,3 @@ def run_finetune_classification(model: TimeDRL, data: ClassificationData,
                     finetune_kappa=result.kappa,
                     finetune_label_fraction=label_fraction)
     return result
-
-
-def _deprecated_finetune(task: str, model, data, label_fraction, epochs,
-                         batch_size, lr, encoder_lr_scale, seed, profile,
-                         prefetch, run, checkpoint, runtime):
-    import warnings
-
-    warnings.warn(
-        f"repro.core.fine_tune_{task}() is deprecated; use "
-        "repro.train.TrainSession.finetune() (or "
-        f"repro.train.fine_tune_{task})",
-        DeprecationWarning, stacklevel=3)
-    from ..train import TrainOptions, TrainSession
-
-    # Match the legacy contract exactly: a given ``runtime`` was
-    # authoritative and the ``profile=``/``checkpoint=`` kwargs ignored.
-    options = TrainOptions(
-        label_fraction=label_fraction, epochs=epochs, batch_size=batch_size,
-        learning_rate=lr, encoder_lr_scale=encoder_lr_scale, seed=seed,
-        prefetch=prefetch, run=run, runtime=runtime,
-        profile=(profile or None) if runtime is None else None,
-        checkpoint=checkpoint if runtime is None else None)
-    session = TrainSession(model.config, model=model)
-    return session.finetune(data, task=task, options=options)
-
-
-def fine_tune_forecasting(model: TimeDRL, data: ForecastingData,
-                          label_fraction: float = 1.0, epochs: int = 5,
-                          batch_size: int = 32, lr: float = 1e-3,
-                          encoder_lr_scale: float = 0.1,
-                          seed: int = 0, profile: bool = False,
-                          prefetch: bool = False, run=None,
-                          checkpoint: CheckpointConfig | None = None,
-                          runtime: RuntimeOptions | None = None
-                          ) -> ForecastResult:
-    """Deprecated alias for the ``repro.train`` facade; bit-identical to
-    :meth:`repro.train.TrainSession.finetune` (locked by
-    ``tests/train/test_session.py``)."""
-    return _deprecated_finetune("forecasting", model, data, label_fraction,
-                                epochs, batch_size, lr, encoder_lr_scale,
-                                seed, profile, prefetch, run, checkpoint,
-                                runtime)
-
-
-def fine_tune_classification(model: TimeDRL, data: ClassificationData,
-                             label_fraction: float = 1.0, epochs: int = 10,
-                             batch_size: int = 32, lr: float = 1e-3,
-                             encoder_lr_scale: float = 0.1,
-                             seed: int = 0, profile: bool = False,
-                             prefetch: bool = False, run=None,
-                             checkpoint: CheckpointConfig | None = None,
-                             runtime: RuntimeOptions | None = None
-                             ) -> ClassificationResult:
-    """Deprecated alias for the ``repro.train`` facade; bit-identical to
-    :meth:`repro.train.TrainSession.finetune` (locked by
-    ``tests/train/test_session.py``)."""
-    return _deprecated_finetune("classification", model, data, label_fraction,
-                                epochs, batch_size, lr, encoder_lr_scale,
-                                seed, profile, prefetch, run, checkpoint,
-                                runtime)

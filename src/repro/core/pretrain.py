@@ -33,7 +33,6 @@ from __future__ import annotations
 import dataclasses
 import pathlib
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,8 +59,7 @@ from ..utils.training import Timer, format_profile
 from .config import PretrainConfig, TimeDRLConfig
 from .model import TimeDRL
 
-__all__ = ["PretrainResult", "run_pretrain", "pretrain",
-           "iterate_pretrain_batches"]
+__all__ = ["PretrainResult", "run_pretrain", "iterate_pretrain_batches"]
 
 
 @dataclass
@@ -691,24 +689,3 @@ def _run_pretrain(model_config, data, train_config, run, hooks,
                           resumed_from_step=resumed_from_step,
                           world_size=dist.world_size if dist else 1,
                           worker_restarts=restarts)
-
-
-def pretrain(model_config: TimeDRLConfig, data,
-             train_config: PretrainConfig | None = None,
-             run=None, hooks=None) -> PretrainResult:
-    """Deprecated alias for the ``repro.train`` facade.
-
-    Delegates to :meth:`repro.train.TrainSession.pretrain` with an
-    options object wrapping the same arguments — bit-identical results
-    (locked by ``tests/train/test_session.py``).  Use the facade, or
-    :func:`run_pretrain` for the bare loop.
-    """
-    warnings.warn(
-        "repro.core.pretrain() is deprecated; use "
-        "repro.train.TrainSession.pretrain() (or repro.train.pretrain)",
-        DeprecationWarning, stacklevel=2)
-    from ..train import TrainOptions, TrainSession
-
-    session = TrainSession(model_config)
-    return session.pretrain(data, TrainOptions(pretrain=train_config,
-                                               run=run, hooks=hooks))

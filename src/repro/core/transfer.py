@@ -22,7 +22,7 @@ from .finetune import timedrl_forecast_features
 from .model import TimeDRL
 from .pretrain import _resolve_checkpoint_dir, run_pretrain
 
-__all__ = ["TransferResult", "run_transfer", "transfer_forecasting"]
+__all__ = ["TransferResult", "run_transfer"]
 
 
 @dataclass
@@ -109,26 +109,3 @@ def run_transfer(source: ForecastingData, target: ForecastingData,
                     random_mse=result.random_mse,
                     transfer_gap=result.transfer_gap)
     return result
-
-
-def transfer_forecasting(source: ForecastingData, target: ForecastingData,
-                         config: TimeDRLConfig,
-                         train_config: PretrainConfig | None = None,
-                         alpha: float = 1.0, run=None,
-                         runtime: RuntimeOptions | None = None
-                         ) -> TransferResult:
-    """Deprecated alias for the ``repro.train`` facade; bit-identical to
-    :meth:`repro.train.TrainSession.transfer` (locked by
-    ``tests/train/test_session.py``)."""
-    import warnings
-
-    warnings.warn(
-        "repro.core.transfer_forecasting() is deprecated; use "
-        "repro.train.TrainSession.transfer() (or "
-        "repro.train.transfer_forecasting)",
-        DeprecationWarning, stacklevel=2)
-    from ..train import TrainOptions, TrainSession
-
-    options = TrainOptions(pretrain=train_config, runtime=runtime,
-                           alpha=alpha, run=run)
-    return TrainSession(config).transfer(source, target, options=options)

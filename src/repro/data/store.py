@@ -226,7 +226,7 @@ class ShardedDataset:
     OS-paged, so opening a 10M-window store costs only header reads;
     :meth:`batch` gathers arbitrary global indices across shards into a
     fresh contiguous array, bit-identical to indexing the in-memory
-    equivalent.  Plugs into :func:`repro.core.pretrain` exactly like an
+    equivalent.  Plugs into :func:`repro.core.run_pretrain` exactly like an
     ndarray of samples.
     """
 

@@ -27,8 +27,8 @@ from .metrics import get_registry
 
 __all__ = ["SloRule", "SloRules", "SloParseError", "GATEWAY_SLO_RULES"]
 
-#: Default SLO predicates for a serving gateway (``repro serve
-#: --gateway``).  Names follow :func:`~repro.obs.export.flatten_snapshot`:
+#: Default SLO predicates for a serving gateway (``repro serve``).
+#: Names follow :func:`~repro.obs.export.flatten_snapshot`:
 #: labeled counter children flatten to ``name{label="value"}`` and
 #: histograms to ``name_p95`` etc.  The rules encode the robustness
 #: contract: accepted-request latency stays bounded (shedding is how —

@@ -10,11 +10,9 @@ Components:
 * :mod:`~repro.serve.cache` — :class:`EmbeddingCache`: LRU cache of
   embeddings keyed by (model fingerprint, input digest).
 * :mod:`~repro.serve.batching` — :class:`BatchingEngine`: coalesces
-  queued requests into dynamic micro-batches under eval + no-grad.
-* :mod:`~repro.serve.metrics` — :class:`LatencyHistogram` and the
-  latency-report format.
-* :mod:`~repro.serve.service` — :class:`InferenceService`: registry +
-  engine + cache behind one façade, with telemetry spans.
+  queued requests into dynamic micro-batches under eval + no-grad;
+  :class:`InferenceRequest` is the one handle each request has.
+* :mod:`~repro.serve.metrics` — :class:`LatencyHistogram`.
 * :mod:`~repro.serve.errors` — the typed gateway error taxonomy
   (:class:`Overloaded`, :class:`QuotaExceeded`, :class:`DeadlineExceeded`,
   :class:`CircuitOpen`, :class:`EngineClosed`, :class:`SwapFailed`).
@@ -23,8 +21,10 @@ Components:
   :class:`FairScheduler`).
 * :mod:`~repro.serve.breaker` — :class:`CircuitBreaker` with jittered
   half-open probing.
-* :mod:`~repro.serve.gateway` — :class:`ServingGateway`: the resilient
-  multi-tenant front door (admission, deadlines, breaker, rolling swap).
+* :mod:`~repro.serve.gateway` — :class:`ServingGateway`: the one front
+  door (admission, deadlines, breaker, rolling swap, batch mode and the
+  serving report); one ``default`` tenant with no quota unless
+  configured otherwise.
 * :mod:`~repro.serve.swap` — shadow validation and the zero-downtime
   swap protocol.
 
@@ -53,9 +53,6 @@ __all__ = [
     "BatchingConfig",
     "InferenceRequest",
     "LatencyHistogram",
-    "latency_report",
-    "InferenceService",
-    "ServiceConfig",
     "GatewayError",
     "RetryableError",
     "Overloaded",
@@ -73,7 +70,6 @@ __all__ = [
     "BreakerConfig",
     "ServingGateway",
     "GatewayConfig",
-    "GatewayRequest",
     "SwapConfig",
     "ShadowValidator",
     "ShadowVerdict",
@@ -91,9 +87,6 @@ _LAZY = {
     "BatchingConfig": ".batching",
     "InferenceRequest": ".batching",
     "LatencyHistogram": ".metrics",
-    "latency_report": ".metrics",
-    "InferenceService": ".service",
-    "ServiceConfig": ".service",
     "GatewayError": ".errors",
     "RetryableError": ".errors",
     "Overloaded": ".errors",
@@ -111,7 +104,6 @@ _LAZY = {
     "BreakerConfig": ".breaker",
     "ServingGateway": ".gateway",
     "GatewayConfig": ".gateway",
-    "GatewayRequest": ".gateway",
     "SwapConfig": ".swap",
     "ShadowValidator": ".swap",
     "ShadowVerdict": ".swap",

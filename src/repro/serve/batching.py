@@ -101,44 +101,65 @@ class BatchingConfig:
 
 
 class InferenceRequest:
-    """Handle for one submitted request; fulfilled by the engine.
+    """The one handle a request has, from the door to its result.
 
-    ``deadline_s`` (absolute ``time.perf_counter()`` time, optional) is
-    the latest moment a forward pass may *start* on this request; the
-    engine sweeps expired requests out of every batch it takes and fails
-    them with :class:`DeadlineExceeded`.  ``on_done`` (optional) is
-    invoked with the request once it resolves — result or error — on the
-    fulfilling thread; the gateway uses it for breaker/fairness
-    accounting and traffic mirroring.
+    A request submitted to the engine directly and one admitted by the
+    :class:`~repro.serve.ServingGateway` are the same object: the gateway
+    builds the handle around its validated input and passes it to
+    :meth:`BatchingEngine.submit`, so each request has one ``Event`` and
+    is validated once.  ``tenant`` and ``degraded`` are the gateway's
+    fields (``None`` for engine-only requests).
+
+    ``submitted`` is the door time; ``enqueued`` is when the engine
+    queued the request, which is where its max-wait and latency
+    accounting start.  ``deadline_s`` (absolute ``time.perf_counter()``
+    time, optional) is the latest moment a forward pass may *start* on
+    this request; the engine sweeps expired requests out of every batch
+    it takes and fails them with :class:`DeadlineExceeded`.
+
+    ``on_done`` (optional) is invoked with the request once it resolves
+    — result or error — on the resolving thread, *before* waiters wake:
+    whoever ``result()`` returns to already sees the gateway's
+    admission, breaker and latency accounting.
     """
 
-    def __init__(self, kind: str, x: np.ndarray, digest: str | None,
-                 deadline_s: float | None = None, on_done=None):
+    __slots__ = ("kind", "x", "windows", "digest", "deadline_s", "on_done",
+                 "tenant", "degraded", "trace", "submitted", "enqueued",
+                 "_done", "_value", "_error")
+
+    def __init__(self, kind: str, x: np.ndarray,
+                 deadline_s: float | None = None, on_done=None,
+                 tenant: str | None = None):
+        if kind not in _KINDS:
+            raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
         self.kind = kind
         self.x = x
-        self.digest = digest
+        self.windows = x.shape[0]
+        self.digest: str | None = None
         self.deadline_s = deadline_s
         self.on_done = on_done
+        self.tenant = tenant
+        self.degraded: str | None = None
         self.trace: obs_trace.TraceContext | None = None
-        self.submitted = time.perf_counter()
+        self.submitted = self.enqueued = time.perf_counter()
         self._done = threading.Event()
         self._value = None
         self._error: BaseException | None = None
-
-    @property
-    def windows(self) -> int:
-        return self.x.shape[0]
 
     def done(self) -> bool:
         return self._done.is_set()
 
     def result(self, timeout: float | None = None):
-        """Block until fulfilled; re-raises the engine-side error if any."""
+        """Block until resolved; re-raises the serving-side error if any."""
         if not self._done.wait(timeout):
-            raise TimeoutError("request not fulfilled within timeout")
+            raise TimeoutError("request not resolved within timeout")
         if self._error is not None:
             raise self._error
         return self._value
+
+    @property
+    def error(self) -> BaseException | None:
+        return self._error
 
     def expired(self, now: float | None = None) -> bool:
         if self.deadline_s is None:
@@ -148,14 +169,14 @@ class InferenceRequest:
     def _fulfil(self, value, error: BaseException | None = None) -> None:
         self._value = value
         self._error = error
-        self._done.set()
         if self.on_done is not None:
             try:
                 self.on_done(self)
             except Exception:
                 # A misbehaving observer must not poison the rest of the
-                # batch; the request itself already resolved above.
+                # batch, nor keep the caller waiting.
                 pass
+        self._done.set()
 
 
 class BatchingEngine:
@@ -199,26 +220,31 @@ class BatchingEngine:
 
     # -- submission -------------------------------------------------------
     def submit(self, x: np.ndarray, kind: str = "encode",
-               deadline_s: float | None = None,
-               on_done=None) -> InferenceRequest:
+               deadline_s: float | None = None, on_done=None,
+               request: InferenceRequest | None = None) -> InferenceRequest:
         """Enqueue one request of ``n >= 1`` windows ``(n, T, C)``.
 
         The input is validated against the model's data spec up front —
         a malformed request must fail fast at the door, not poison the
         micro-batch it would have been coalesced into.  A ``deadline_s``
         already in the past is likewise rejected synchronously.
+
+        The gateway passes the ``request`` handle it built around an
+        input it already validated; the engine then queues that handle
+        (its ``x``, ``kind``, deadline and ``on_done`` win) instead of
+        making a second one.
         """
         if self._closed:
             raise EngineClosed("engine is closed; no new requests accepted")
-        if kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-        x = self.loaded.validate_input(x)
-        if deadline_s is not None and time.perf_counter() >= deadline_s:
+        if request is None:
+            request = InferenceRequest(kind, self.loaded.validate_input(x),
+                                       deadline_s=deadline_s, on_done=on_done)
+        if request.expired():
             raise DeadlineExceeded(
                 "request deadline expired before submission", waited_ms=0.0)
-        digest = input_digest(x) if self.cache is not None else None
-        request = InferenceRequest(kind, x, digest, deadline_s=deadline_s,
-                                   on_done=on_done)
+        if self.cache is not None:
+            request.digest = input_digest(request.x)
+        kind = request.kind
         # The submit span's context rides on the request so the worker
         # thread can adopt it — one trace_id from caller to fulfilment.
         # record_span instead of span(): no nested span derives from the
@@ -233,6 +259,7 @@ class BatchingEngine:
             # its own final sweep — never leave the future unresolved.
             if self._closed:
                 raise EngineClosed("engine is closed; no new requests accepted")
+            request.enqueued = time.perf_counter()
             self._queue.append(request)
             depth = len(self._queue)
             self._wakeup.notify()
@@ -389,7 +416,7 @@ class BatchingEngine:
                         self._sweep_expired_locked(expired)
                         if self._queue:
                             now = time.perf_counter()
-                            oldest = self._queue[0].submitted
+                            oldest = self._queue[0].enqueued
                             if (self._full_locked(max_windows)
                                     or now - oldest >= deadline_s
                                     or self._stopping):
@@ -435,7 +462,7 @@ class BatchingEngine:
         observers may re-enter the engine)."""
         now = time.perf_counter()
         for request in expired:
-            waited_ms = (now - request.submitted) * 1e3
+            waited_ms = (now - request.enqueued) * 1e3
             request._fulfil(None, DeadlineExceeded(
                 f"deadline expired after {waited_ms:.1f}ms in queue, before "
                 "a forward pass started", waited_ms=waited_ms))
@@ -488,7 +515,7 @@ class BatchingEngine:
         request_ms = handles.request_ms[kind]
         batch_windows = 0
         for i, request in enumerate(batch):
-            seconds = now - request.submitted
+            seconds = now - request.enqueued
             self.latency[kind].record(seconds)
             request_ms.observe(seconds * 1e3)
             batch_windows += request.windows

@@ -171,7 +171,7 @@ class CircuitBreaker:
         outcomes = self._outcomes
         if len(outcomes) < self.config.min_requests:
             return False
-        failures = sum(1 for ok in outcomes if not ok)
+        failures = outcomes.count(False)
         return failures / len(outcomes) >= self.config.failure_ratio
 
     def _open_locked(self) -> None:

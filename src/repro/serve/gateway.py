@@ -1,8 +1,11 @@
-"""Resilient multi-tenant serving gateway in front of the batching engine.
+"""The serving front door: a resilient gateway in front of the batching engine.
 
-The gateway is the front door that makes one
-:class:`~repro.serve.BatchingEngine` safe to share: requests pass through
-four stages, each with a typed failure mode instead of a hang —
+Every caller — ``repro serve``, ``repro obs --checkpoint``, library code
+— reaches the engine through :class:`ServingGateway`.  With the default
+:class:`GatewayConfig` it is one ``default`` tenant with no quota.  Each
+request has one :class:`~repro.serve.batching.InferenceRequest` handle
+from the door to its result, and passes four stages, each with a typed
+failure mode instead of a hang —
 
 1. **Admission** (:class:`~repro.serve.admission.AdmissionController`):
    per-tenant token-bucket quotas (:class:`QuotaExceeded`) and a
@@ -24,9 +27,12 @@ four stages, each with a typed failure mode instead of a hang —
    (:class:`DeadlineExceeded`).
 
 Like the engine, the gateway has a deterministic **deferred** mode
-(``submit`` + ``flush``; tests, CLI batch scoring) and a **threaded**
-mode (``start``; a dispatcher thread drains the fair queue continuously
-while the engine's own worker batches).
+(``submit`` + ``flush``; tests, CLI batch scoring via
+:meth:`~ServingGateway.serve_windows`) and a **threaded** mode
+(``start``; a dispatcher thread drains the fair queue continuously
+while the engine's own worker batches).  :meth:`~ServingGateway.report`
+is the serving report: throughput, latency, cache, admission and shed
+counters.
 
 Rolling swaps (:meth:`begin_swap`) shadow-validate a candidate on
 mirrored live traffic and flip the alias atomically — see
@@ -41,19 +47,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..obs.metrics import get_registry
+from ..obs import trace as obs_trace
+from ..obs.metrics import NULL_METRIC, get_registry
 from ..telemetry import NULL_RUN
 from .admission import (AdmissionController, DEFAULT_TENANT, FairScheduler,
                         TenantConfig)
-from .batching import BatchingConfig, BatchingEngine
+from .batching import BatchingConfig, BatchingEngine, InferenceRequest
 from .breaker import BreakerConfig, CircuitBreaker
 from .cache import EmbeddingCache, input_digest
 from .errors import (CircuitOpen, DeadlineExceeded, EngineClosed,
-                     Overloaded, QuotaExceeded, SwapFailed)
+                     Overloaded, QuotaExceeded, RetryableError, SwapFailed)
 from .registry import LoadedModel, ModelRegistry
 from .swap import ShadowValidator, SwapConfig, SwapHandle
 
-__all__ = ["ServingGateway", "GatewayConfig", "GatewayRequest"]
+__all__ = ["ServingGateway", "GatewayConfig"]
 
 _SHED_REASONS = ("quota", "overload", "deadline", "circuit", "closed")
 
@@ -78,45 +85,6 @@ class GatewayConfig:
             raise ValueError("cache_size must be >= 0")
 
 
-class GatewayRequest:
-    """Caller-facing handle for one request admitted by the gateway.
-
-    Resolves to the engine result, a degraded cache answer (``degraded``
-    set to ``"cache"`` or ``"stale"``), or a typed error — never hangs.
-    """
-
-    __slots__ = ("tenant", "kind", "windows", "submitted", "deadline_s",
-                 "degraded", "x", "_done", "_value", "_error")
-
-    def __init__(self, tenant: str, kind: str, x: np.ndarray,
-                 deadline_s: float | None):
-        self.tenant = tenant
-        self.kind = kind
-        self.x = x
-        self.windows = x.shape[0]
-        self.deadline_s = deadline_s
-        self.degraded: str | None = None
-        self.submitted = time.perf_counter()
-        self._done = threading.Event()
-        self._value = None
-        self._error: BaseException | None = None
-
-    def done(self) -> bool:
-        return self._done.is_set()
-
-    def result(self, timeout: float | None = None):
-        """Block until resolved; re-raises the gateway-side error if any."""
-        if not self._done.wait(timeout):
-            raise TimeoutError("gateway request not resolved within timeout")
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-    @property
-    def error(self) -> BaseException | None:
-        return self._error
-
-
 class ServingGateway:
     """Multi-tenant front door over one engine + one registry alias."""
 
@@ -135,16 +103,21 @@ class ServingGateway:
         self.breaker = (CircuitBreaker(self.config.breaker,
                                        on_transition=self._on_breaker)
                         if self.config.breaker is not None else None)
-        # _state guards: engine identity (swap flip), dispatcher/closed
-        # flags, the fair-queue wakeup, and the degraded counters.
+        # _state guards the engine flip of a swap, the dispatcher/closed
+        # flags and the fair-queue wakeup; _counts the served, degraded
+        # and shed counters.  The engine reference itself is read without
+        # a lock: one attribute load sees the old engine or the new.
         self._state = threading.Condition()
+        self._counts = threading.Lock()
         self._engine = BatchingEngine(loaded, self.config.batching,
                                       cache=self.cache)
         self._dispatcher: threading.Thread | None = None
         self._threaded = False
         self._closed = False
+        self._windows_served = 0
         self._degraded_counts = {"cache": 0, "stale": 0}
         self._shed_counts = {reason: 0 for reason in _SHED_REASONS}
+        self._started = time.perf_counter()
         # Swap machinery: one rolling swap at a time.
         self._swap_lock = threading.Lock()
         self._swap_handle: SwapHandle | None = None
@@ -194,15 +167,31 @@ class ServingGateway:
                 "swaps": registry.counter(
                     "gateway_swaps_total",
                     "Rolling swaps finalized", labels=("outcome",)),
+                "tenants": {},
             })
             self._obs = memo
         return memo[1]
 
+    @staticmethod
+    def _tenant_metrics(handles, tenant: str):
+        """``(requests, request_ms)`` children of one tenant, resolved
+        once: they are touched on every request."""
+        children = handles["tenants"].get(tenant)
+        if children is None:
+            children = handles["tenants"][tenant] = (
+                handles["requests"].labels(tenant=tenant),
+                handles["request_ms"].labels(tenant=tenant))
+        return children
+
     # -- properties --------------------------------------------------------
     @property
+    def engine(self) -> BatchingEngine:
+        """The engine serving now (a promoting swap replaces it)."""
+        return self._engine
+
+    @property
     def loaded(self) -> LoadedModel:
-        with self._state:
-            return self._engine.loaded
+        return self._engine.loaded
 
     @property
     def fingerprint(self) -> str:
@@ -215,7 +204,7 @@ class ServingGateway:
     # -- submission --------------------------------------------------------
     def submit(self, x: np.ndarray, kind: str = "encode",
                tenant: str = DEFAULT_TENANT,
-               deadline_ms: float | None = None) -> GatewayRequest:
+               deadline_ms: float | None = None) -> InferenceRequest:
         """Admit one request or raise a typed rejection at the door.
 
         Raises :class:`QuotaExceeded` / :class:`Overloaded` (both carry
@@ -234,7 +223,9 @@ class ServingGateway:
             deadline_ms = self.config.default_deadline_ms
         deadline_s = (time.perf_counter() + deadline_ms / 1e3
                       if deadline_ms is not None else None)
-        windows = x.shape[0]
+        request = InferenceRequest(kind, x, deadline_s, on_done=self._settle,
+                                   tenant=tenant)
+        windows = request.windows
         try:
             tenant_config = self.admission.admit(
                 tenant, windows, retry_after_s=self.config.shed_retry_after_s)
@@ -242,15 +233,14 @@ class ServingGateway:
             reason = "quota" if isinstance(error, QuotaExceeded) else "overload"
             self._count_shed(reason, handles)
             raise
-        request = GatewayRequest(tenant, kind, x, deadline_s)
-        handles["requests"].labels(tenant=tenant).inc()
+        self._tenant_metrics(handles, tenant)[0].inc()
         if self.breaker is not None and not self.breaker.allow():
             # Open breaker: the request never queues.  Serve from cache
             # (same-fingerprint hit, or any-fingerprint entry under
             # stale_ok) or shed with a retry hint.
-            self.admission.release(windows)
             value, mode = self._degraded_lookup(loaded, x, kind)
             if mode is None:
+                self.admission.release(windows)
                 self._count_shed("circuit", handles)
                 retry = self.breaker.retry_after_s() or self.config.shed_retry_after_s
                 raise CircuitOpen(
@@ -258,10 +248,10 @@ class ServingGateway:
                     f"cached answer for this input; retry in {retry:.3f}s",
                     retry_after_s=retry)
             request.degraded = mode
-            with self._state:
+            with self._counts:
                 self._degraded_counts[mode] += 1
             handles["degraded"].labels(mode=mode).inc()
-            self._resolve(request, value, None, handles)
+            request._fulfil(value)
             return request
         with self._state:
             if self._closed:
@@ -269,8 +259,10 @@ class ServingGateway:
                 raise EngineClosed("gateway is closed; no new requests accepted")
             self.scheduler.enqueue(tenant, tenant_config.weight, windows,
                                    request)
-            self._state.notify_all()
-        handles["queue_windows"].set(self.admission.in_flight)
+            if self._threaded:
+                self._state.notify_all()
+        if handles["queue_windows"] is not NULL_METRIC:
+            handles["queue_windows"].set(self.admission.in_flight)
         return request
 
     def encode(self, x: np.ndarray, tenant: str = DEFAULT_TENANT,
@@ -290,6 +282,60 @@ class ServingGateway:
             self.flush()
         return request.result()
 
+    def serve_windows(self, windows: np.ndarray, mode: str = "encode",
+                      request_size: int = 1,
+                      tenants: tuple = (DEFAULT_TENANT,)):
+        """Batch mode: serve a whole ``(N, T, C)`` workload in order.
+
+        The workload is split into one request per ``request_size``
+        windows (the cache granularity), tenants taken round robin; the
+        engine coalesces them back into micro-batches.  A request shed
+        at the door is retried once, after the admitted backlog drains
+        (deferred mode) or after its ``retry_after_s`` (threaded mode).
+        Answers come back stacked in submission order: ``(timestamp,
+        instance)`` for ``mode="encode"``, the predictions for
+        ``"predict"``.  Requests still refused, or expired, are left out
+        (``report()`` counts them); ``None`` if nothing was answered.
+        """
+        if request_size < 1:
+            raise ValueError("request_size must be >= 1")
+        windows = np.asarray(windows)
+        pending = []
+        # One root trace per workload: every request below derives its
+        # context from this span, so the whole pass shares one trace_id
+        # through gateway, engine, worker thread, and cache.
+        with self.run.span("serve_windows", mode=mode,
+                           windows=int(windows.shape[0])), \
+                obs_trace.span("gateway.serve_windows", mode=mode,
+                               windows=int(windows.shape[0])):
+            for index, start in enumerate(
+                    range(0, windows.shape[0], request_size)):
+                x = windows[start:start + request_size]
+                tenant = tenants[index % len(tenants)]
+                for __ in range(2):
+                    try:
+                        pending.append(self.submit(x, mode, tenant=tenant))
+                        break
+                    except RetryableError as error:
+                        if self._threaded:
+                            time.sleep(error.retry_after_s)
+                        else:
+                            self.flush()
+            if not self._threaded:
+                self.flush()
+            answers = []
+            for request in pending:
+                try:
+                    answers.append(request.result())
+                except (RetryableError, DeadlineExceeded):
+                    pass
+        if not answers:
+            return None
+        if mode == "encode":
+            return (np.concatenate([a[0] for a in answers]),
+                    np.concatenate([a[1] for a in answers]))
+        return np.concatenate(answers)
+
     # -- dispatch ----------------------------------------------------------
     def _pump(self) -> int:
         """Drain the fair queue into the engine; returns requests moved."""
@@ -300,35 +346,20 @@ class ServingGateway:
                 return moved
             _, __, request = popped
             now = time.perf_counter()
-            if request.deadline_s is not None and now >= request.deadline_s:
+            if request.expired(now):
                 # Expired while waiting in the *gateway* fair queue — the
                 # engine never sees it, and waited_ms reflects the full
                 # door-to-expiry wait.
                 waited_ms = (now - request.submitted) * 1e3
-                handles = self._obs_handles()
-                self._count_shed("deadline", handles)
-                self._resolve(request, None, DeadlineExceeded(
+                request._fulfil(None, DeadlineExceeded(
                     f"deadline expired after {waited_ms:.1f}ms in the "
-                    "gateway queue, before dispatch", waited_ms=waited_ms),
-                    handles)
+                    "gateway queue, before dispatch", waited_ms=waited_ms))
                 continue
-            with self._state:
-                engine = self._engine
             try:
-                engine.submit(
-                    request.x, request.kind, deadline_s=request.deadline_s,
-                    on_done=lambda ereq, greq=request: self._on_engine_done(
-                        greq, ereq))
+                self._engine.submit(request.x, request.kind, request=request)
                 moved += 1
-            except DeadlineExceeded as error:
-                self._count_shed("deadline", self._obs_handles())
-                self._resolve(request, None, error, self._obs_handles(),
-                              record_breaker=False)
-            except EngineClosed as error:
-                self._resolve(request, None, error, self._obs_handles(),
-                              record_breaker=False)
             except BaseException as error:
-                self._resolve(request, None, error, self._obs_handles())
+                request._fulfil(None, error)
 
     def flush(self) -> int:
         """Deferred mode: fair-dispatch and run everything queued.
@@ -341,9 +372,7 @@ class ServingGateway:
         fulfilled = 0
         while True:
             self._pump()
-            with self._state:
-                engine = self._engine
-            drained = engine.flush()
+            drained = self._engine.flush()
             fulfilled += drained
             if drained == 0 and len(self.scheduler) == 0:
                 return fulfilled
@@ -371,38 +400,34 @@ class ServingGateway:
                     return
             self._pump()
 
-    def _on_engine_done(self, request: GatewayRequest, ereq) -> None:
-        """Engine-side resolution: accounting, mirroring, then the caller."""
+    def _settle(self, request: InferenceRequest) -> None:
+        """Accounting for a resolved request, run by the handle before its
+        caller wakes: admission release, breaker record, latency, then
+        mirroring of live answers to an in-flight swap."""
         handles = self._obs_handles()
-        error = ereq._error
+        error = request.error
         if isinstance(error, DeadlineExceeded):
             self._count_shed("deadline", handles)
-        x, kind = request.x, request.kind   # _resolve drops the input ref
-        self._resolve(request, ereq._value, error, handles)
-        if error is None and x is not None:
-            self._mirror(x, kind, ereq._value)
-
-    def _resolve(self, request: GatewayRequest, value,
-                 error: BaseException | None, handles,
-                 record_breaker: bool = True) -> None:
+        elif error is None:
+            with self._counts:
+                self._windows_served += request.windows
         self.admission.release(request.windows)
-        if (self.breaker is not None and record_breaker
-                and request.degraded is None
+        if (self.breaker is not None and request.degraded is None
                 and not isinstance(error, EngineClosed)):
             # DeadlineExceeded counts as a failure on purpose: a model
             # (or host) too slow to answer inside the deadline is as
             # unavailable as one that raises.
             self.breaker.record(error is None)
-        request._value = value
-        request._error = error
-        request._done.set()
-        handles["request_ms"].labels(tenant=request.tenant).observe(
+        self._tenant_metrics(handles, request.tenant)[1].observe(
             (time.perf_counter() - request.submitted) * 1e3)
-        handles["queue_windows"].set(self.admission.in_flight)
-        request.x = None   # the mirror path keeps its own reference
+        if handles["queue_windows"] is not NULL_METRIC:
+            handles["queue_windows"].set(self.admission.in_flight)
+        if error is None and request.degraded is None:
+            self._mirror(request.x, request.kind, request._value)
+        request.x = None
 
     def _count_shed(self, reason: str, handles) -> None:
-        with self._state:
+        with self._counts:
             self._shed_counts[reason] += 1
         handles["shed"].labels(reason=reason).inc()
 
@@ -565,11 +590,9 @@ class ServingGateway:
             error = EngineClosed("gateway closed before the request ran")
             for _, __, request in self.scheduler.drain():
                 self._count_shed("closed", handles)
-                self._resolve(request, None, error, handles,
-                              record_breaker=False)
+                request._fulfil(None, error)
         self.abort_swap()
-        with self._state:
-            engine = self._engine
+        engine = self._engine
         engine.close(drain=drain)
         if drain:
             # Anything the dispatcher left between its exit and the
@@ -584,18 +607,33 @@ class ServingGateway:
         self.close()
 
     # -- reporting ---------------------------------------------------------
-    def report(self) -> dict:
-        """One consistent status snapshot (CLI, telemetry, tests)."""
-        with self._state:
-            engine = self._engine
+    def report(self, emit: bool = True) -> dict:
+        """One consistent status snapshot (CLI, telemetry, tests).
+
+        ``throughput`` counts the windows answered since construction.
+        With ``emit=True`` and an enabled telemetry run, the headline
+        numbers also land there as a ``metric`` event (``serve_report``).
+        """
+        elapsed = time.perf_counter() - self._started
+        engine = self._engine
+        with self._counts:
+            windows = self._windows_served
             degraded = dict(self._degraded_counts)
             shed = dict(self._shed_counts)
         swap_handle = self._swap_handle
-        return {
+        latency = {kind: hist.summary()
+                   for kind, hist in engine.latency.items()}
+        cache = self.cache.stats().as_dict() if self.cache else None
+        report = {
             "alias": self.alias,
             "fingerprint": engine.loaded.fingerprint,
             "closed": self._closed,
             "threaded": self._threaded,
+            "throughput": {
+                "windows": windows,
+                "elapsed_s": elapsed,
+                "windows_per_s": windows / elapsed if elapsed > 0 else None,
+            },
             "admission": self.admission.counters(),
             "dispatched_windows": dict(self.scheduler.dispatched),
             "queued_requests": len(self.scheduler),
@@ -603,11 +641,21 @@ class ServingGateway:
             "degraded": degraded,
             "breaker": self.breaker.snapshot() if self.breaker else None,
             "engine": engine.stats(),
-            "latency": {kind: hist.summary()
-                        for kind, hist in engine.latency.items()},
-            "cache": self.cache.stats().as_dict() if self.cache else None,
+            "latency": latency,
+            "cache": cache,
             "swap": (swap_handle.report or
                      {"outcome": "shadowing",
                       "shadow": swap_handle.validator.summary()})
                     if swap_handle is not None else None,
         }
+        if emit and getattr(self.run, "enabled", False):
+            payload = {"windows_per_s": report["throughput"]["windows_per_s"],
+                       "batches_run": report["engine"]["batches_run"]}
+            for kind, summary in latency.items():
+                if summary["count"]:
+                    payload[f"{kind}_p50_ms"] = summary["p50_ms"]
+                    payload[f"{kind}_p95_ms"] = summary["p95_ms"]
+            if cache is not None:
+                payload["cache_hit_rate"] = cache["hit_rate"]
+            self.run.emit("metric", metric="serve_report", **payload)
+        return report

@@ -1,9 +1,9 @@
 """Request-latency accounting for the serving engine.
 
 A :class:`LatencyHistogram` is a streaming recorder of per-request
-latencies; :func:`latency_report` renders one or more of them (plus
-throughput and cache counters) into the JSON latency-report format the
-``repro serve`` CLI emits and ``docs/serving.md`` documents.
+latencies; the engine keeps one per request kind, and
+:meth:`repro.serve.ServingGateway.report` summarises them in the report
+``repro serve`` emits (format in ``docs/serving.md``).
 
 Storage is a fixed-bucket streaming histogram
 (:class:`repro.obs.metrics._HistogramChild`): memory stays O(buckets)
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from ..obs.metrics import DEFAULT_LATENCY_BUCKETS_MS, _HistogramChild
 
-__all__ = ["LatencyHistogram", "latency_report"]
+__all__ = ["LatencyHistogram"]
 
 # The engine records seconds; buckets (and the report) are milliseconds.
 _BUCKETS_MS = DEFAULT_LATENCY_BUCKETS_MS
@@ -67,29 +67,3 @@ class LatencyHistogram:
 
     def reset(self) -> None:
         self._hist.reset()
-
-
-def latency_report(histograms: dict[str, LatencyHistogram],
-                   windows: int, elapsed_s: float,
-                   cache_stats: dict | None = None,
-                   **extra) -> dict:
-    """Assemble the serving latency report.
-
-    ``windows`` / ``elapsed_s`` give end-to-end throughput; per-kind
-    latency summaries come from the histograms; ``cache_stats`` is the
-    :meth:`repro.serve.EmbeddingCache.stats` dict when a cache is wired.
-    """
-    report = {
-        "throughput": {
-            "windows": int(windows),
-            "elapsed_s": float(elapsed_s),
-            "windows_per_s": (float(windows / elapsed_s)
-                              if elapsed_s > 0 else None),
-        },
-        "latency_ms": {name: hist.summary()
-                       for name, hist in histograms.items()},
-    }
-    if cache_stats is not None:
-        report["cache"] = dict(cache_stats)
-    report.update(extra)
-    return report

@@ -2,9 +2,8 @@
 
 :class:`TrainSession` + :class:`TrainOptions` replace the sprawl of
 per-driver kwargs; the module-level convenience functions below are thin
-session wrappers for one-shot calls.  The OLD free functions
-(``repro.core.pretrain`` and friends) are deprecated shims that delegate
-here — see ``docs/training.md`` for the migration table.
+session wrappers for one-shot calls.  :func:`repro.core.run_pretrain`
+stays the bare pre-training loop the session drives.
 """
 
 from __future__ import annotations

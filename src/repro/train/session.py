@@ -15,11 +15,8 @@ across phases::
                                            checkpoint=True, distributed=4))
     result = session.finetune(forecasting_data)   # reuses the pretrained model
 
-The old free functions (``repro.core.pretrain``,
-``fine_tune_forecasting``, ``fine_tune_classification``,
-``transfer_forecasting``) still work but emit ``DeprecationWarning`` and
-delegate here; ``tests/train/test_session.py`` locks the delegation to be
-bit-identical.  See ``docs/training.md`` for the migration table.
+The module-level functions in :mod:`repro.train` are one-shot
+sessions; ``docs/training.md`` lists the free functions they replaced.
 """
 
 from __future__ import annotations
@@ -49,8 +46,8 @@ class TrainOptions:
 
     Every field defaults to "no opinion" (``None``): an options object
     built with only ``pretrain=some_config`` resolves to *exactly* that
-    config object, unchanged — which is what makes the deprecated
-    free-function shims bit-identical to the facade.
+    config object, unchanged, so a session run with it is bit-identical
+    to :func:`repro.core.run_pretrain` with that config.
 
     Precedence for the pre-training config, highest first:
 

@@ -63,7 +63,7 @@ class TestFitLoop:
     def test_embeddings_restore_training_mode(self):
         model = CountingBaseline()
         model.train()
-        model.instance_embeddings(_samples(4))
+        model.encode(_samples(4))[1]
         assert model.training
 
     def test_abstract_methods_raise(self):

@@ -14,7 +14,7 @@ from repro.checkpoint import (
     TrainingAborted,
     compose,
 )
-from repro.core import pretrain
+from repro.core import run_pretrain
 from repro.telemetry import Run
 from tests.checkpoint.common import (
     EPOCHS,
@@ -30,7 +30,7 @@ def _train(tmp_path, hooks=None, **ckpt_overrides):
         telemetry=True, run_root=str(tmp_path / "runs"),
         checkpoint=CheckpointConfig(directory=str(tmp_path / "ckpts"),
                                     **ckpt_overrides))
-    result = pretrain(tiny_model_config(), tiny_data(), config, hooks=hooks)
+    result = run_pretrain(tiny_model_config(), tiny_data(), config, hooks=hooks)
     return result, Run.load(result.run_dir)
 
 
@@ -123,8 +123,8 @@ class TestAbort:
             checkpoint=CheckpointConfig(directory=str(tmp_path / "ckpts"),
                                         on_nan="abort"))
         with pytest.raises(TrainingAborted):
-            pretrain(tiny_model_config(), tiny_data(), config,
-                     hooks=PoisonLossAt(3))
+            run_pretrain(tiny_model_config(), tiny_data(), config,
+                         hooks=PoisonLossAt(3))
         run_dir, = glob.glob(str(tmp_path / "runs" / "*"))
         loaded = Run.load(run_dir)
         # A policy abort is a controlled failure, not a crash.
@@ -144,8 +144,8 @@ class TestAbort:
                                         on_nan="skip_batch",
                                         max_recoveries=2))
         with pytest.raises(TrainingAborted, match="max_recoveries"):
-            pretrain(tiny_model_config(), tiny_data(), config,
-                     hooks=PoisonLossAt(3, repeat=50))
+            run_pretrain(tiny_model_config(), tiny_data(), config,
+                         hooks=PoisonLossAt(3, repeat=50))
         run_dir, = glob.glob(str(tmp_path / "runs" / "*"))
         loaded = Run.load(run_dir)
         actions = [e["action"] for e in _events(loaded, "recovery")]

@@ -19,8 +19,7 @@ from repro.checkpoint import (
     SimulatedCrash,
     TrainingAborted,
 )
-from repro.core import pretrain
-from repro.core.pretrain import run_pretrain
+from repro.core import run_pretrain
 from repro.telemetry import Run
 from tests.checkpoint.common import (
     assert_model_states_equal,
@@ -35,7 +34,7 @@ def _run_to_completion(tmp_path, label, **ckpt_overrides):
     """One full uninterrupted run checkpointing into ``tmp_path/label``."""
     config = tiny_train_config(checkpoint=CheckpointConfig(
         directory=str(tmp_path / label), **ckpt_overrides))
-    return pretrain(tiny_model_config(), tiny_data(), config)
+    return run_pretrain(tiny_model_config(), tiny_data(), config)
 
 
 class TestKillAndResume:
@@ -46,10 +45,10 @@ class TestKillAndResume:
         ckpt = CheckpointConfig(directory=str(tmp_path / "killed"),
                                 **ckpt_overrides)
         with pytest.raises(SimulatedCrash):
-            pretrain(tiny_model_config(), tiny_data(),
-                     tiny_train_config(checkpoint=ckpt),
-                     hooks=CrashAt(crash_step))
-        resumed = pretrain(
+            run_pretrain(tiny_model_config(), tiny_data(),
+                         tiny_train_config(checkpoint=ckpt),
+                         hooks=CrashAt(crash_step))
+        resumed = run_pretrain(
             tiny_model_config(), tiny_data(),
             tiny_train_config(checkpoint=dataclasses.replace(ckpt, resume=True)))
         return baseline, resumed
@@ -88,7 +87,7 @@ class TestKillAndResume:
     def test_resume_without_checkpoints_starts_fresh(self, tmp_path):
         config = tiny_train_config(checkpoint=CheckpointConfig(
             directory=str(tmp_path / "empty"), resume=True))
-        result = pretrain(tiny_model_config(), tiny_data(), config)
+        result = run_pretrain(tiny_model_config(), tiny_data(), config)
         assert result.resumed_from_step is None
         assert len(result.history) == 3
 
@@ -97,7 +96,7 @@ class TestCheckpointingIsFree:
     def test_trajectory_identical_with_and_without_checkpointing(self, tmp_path):
         """Turning checkpointing on (no faults) must not change one bit of
         the training trajectory."""
-        plain = pretrain(tiny_model_config(), tiny_data(), tiny_train_config())
+        plain = run_pretrain(tiny_model_config(), tiny_data(), tiny_train_config())
         checkpointed = _run_to_completion(tmp_path, "on", every_n_batches=1)
         assert plain.history == checkpointed.history
         assert_model_states_equal(plain.model.state_dict(),
@@ -171,8 +170,8 @@ class TestCrashTelemetry:
             checkpoint=CheckpointConfig(directory=str(tmp_path / "ckpts"),
                                         every_n_batches=1))
         with pytest.raises(SimulatedCrash):
-            pretrain(tiny_model_config(), tiny_data(), config,
-                     hooks=CrashAt(4))
+            run_pretrain(tiny_model_config(), tiny_data(), config,
+                         hooks=CrashAt(4))
         run_dir, = glob.glob(str(tmp_path / "runs" / "*"))
         loaded = Run.load(run_dir)
         assert loaded.status == "crashed"
@@ -187,12 +186,12 @@ class TestCrashTelemetry:
         ckpt = CheckpointConfig(directory=str(tmp_path / "ckpts"),
                                 every_n_batches=1)
         with pytest.raises(SimulatedCrash):
-            pretrain(tiny_model_config(), tiny_data(),
-                     tiny_train_config(checkpoint=ckpt), hooks=CrashAt(7))
+            run_pretrain(tiny_model_config(), tiny_data(),
+                         tiny_train_config(checkpoint=ckpt), hooks=CrashAt(7))
         config = tiny_train_config(
             telemetry=True, run_root=str(tmp_path / "runs"),
             checkpoint=dataclasses.replace(ckpt, resume=True))
-        result = pretrain(tiny_model_config(), tiny_data(), config)
+        result = run_pretrain(tiny_model_config(), tiny_data(), config)
         loaded = Run.load(result.run_dir)
         resumes = [e for e in loaded.events
                    if e["type"] == "checkpoint" and e["action"] == "resumed"]

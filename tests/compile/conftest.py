@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.checkpoint import CheckpointConfig
-from repro.core import PretrainConfig, TimeDRLConfig, pretrain
+from repro.core import PretrainConfig, TimeDRLConfig, run_pretrain
 
 SEQ_LEN, CHANNELS = 32, 3
 
@@ -32,15 +32,15 @@ def windows() -> np.ndarray:
 @pytest.fixture(scope="session")
 def model(windows):
     """A briefly-trained (non-random) model, in eval mode."""
-    result = pretrain(small_config(), windows,
-                      PretrainConfig(epochs=1, batch_size=16, seed=3))
+    result = run_pretrain(small_config(), windows,
+                          PretrainConfig(epochs=1, batch_size=16, seed=3))
     return result.model.eval()
 
 
 @pytest.fixture(scope="session")
 def checkpoint_dir(tmp_path_factory, windows):
     directory = tmp_path_factory.mktemp("compile-ckpt")
-    pretrain(small_config(), windows, PretrainConfig(
+    run_pretrain(small_config(), windows, PretrainConfig(
         epochs=1, batch_size=16, seed=3,
         checkpoint=CheckpointConfig(directory=str(directory),
                                     every_n_epochs=1)))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import AnomalyDetector, PretrainConfig, TimeDRL, TimeDRLConfig, pretrain
+from repro.core import AnomalyDetector, PretrainConfig, TimeDRL, TimeDRLConfig, run_pretrain
 from repro.data import make_forecasting_data
 
 
@@ -21,8 +21,8 @@ def _pretrained(data, seed=0):
     config = TimeDRLConfig(seq_len=32, input_channels=2, patch_len=8, stride=8,
                            d_model=16, num_heads=2, num_layers=1,
                            channel_independence=True, seed=seed)
-    return pretrain(config, data.train,
-                    PretrainConfig(epochs=3, batch_size=32, seed=seed)).model
+    return run_pretrain(config, data.train,
+                        PretrainConfig(epochs=3, batch_size=32, seed=seed)).model
 
 
 class TestAnomalyDetector:

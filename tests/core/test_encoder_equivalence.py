@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.config import PretrainConfig, TimeDRLConfig
 from repro.core.model import TimeDRL
-from repro.core.pretrain import pretrain
+from repro.core import run_pretrain
 from repro.nn import AdamW, clip_grad_norm, no_grad, use_fused
 from repro.utils.training import set_global_seed
 
@@ -86,7 +86,7 @@ class TestTelemetryEquivalence:
             (48, 32, 2)).astype(np.float32)
         config = PretrainConfig(epochs=3, batch_size=16, seed=0,
                                 **telemetry_kwargs)
-        result = pretrain(TimeDRLConfig(**TINY), data, config)
+        result = run_pretrain(TimeDRLConfig(**TINY), data, config)
         return result.history, result.model.state_dict()
 
     def test_disabled_telemetry_is_bit_identical_to_enabled(self, tmp_path):

@@ -125,40 +125,40 @@ class TestAugmentationHook:
 class TestEmbeddingInterfaces:
     def test_timestamp_embeddings_shape(self):
         model = TimeDRL(_config())
-        z_t = model.timestamp_embeddings(_batch(n=4))
+        z_t = model.encode(_batch(n=4))[0]
         assert z_t.shape == (4, 4, 16)
 
     def test_instance_embeddings_shape(self):
         model = TimeDRL(_config())
-        z_i = model.instance_embeddings(_batch(n=4))
+        z_i = model.encode(_batch(n=4))[1]
         assert z_i.shape == (4, 16)
 
     def test_all_pooling_instance_width(self):
         model = TimeDRL(_config(pooling="all"))
-        z_i = model.instance_embeddings(_batch(n=4))
+        z_i = model.encode(_batch(n=4))[1]
         assert z_i.shape == (4, 4 * 16)
 
     def test_embed_returns_both(self):
         model = TimeDRL(_config())
-        instance, timestamp = model.embed(_batch(n=4))
+        timestamp, instance = model.encode(_batch(n=4))
         assert instance.shape == (4, 16)
         assert timestamp.shape == (4, 4, 16)
 
     def test_embeddings_are_deterministic(self):
         model = TimeDRL(_config())
         x = _batch(n=4)
-        np.testing.assert_array_equal(model.instance_embeddings(x),
-                                      model.instance_embeddings(x))
+        np.testing.assert_array_equal(model.encode(x)[1],
+                                      model.encode(x)[1])
 
     def test_embed_restores_training_mode(self):
         model = TimeDRL(_config())
         model.train()
-        model.embed(_batch(n=2))
+        model.encode(_batch(n=2))
         assert model.training
 
     def test_channel_independent_embedding_batch_axis(self):
         model = TimeDRL(_config(channel_independence=True))
-        z_i = model.instance_embeddings(_batch(n=4, c=3))
+        z_i = model.encode(_batch(n=4, c=3))[1]
         assert z_i.shape == (12, 16)  # one series per channel
 
 
@@ -177,6 +177,6 @@ class TestCollapseResistance:
             optimizer.zero_grad()
             model.pretraining_losses(x)["total"].backward()
             optimizer.step()
-        embeddings = model.instance_embeddings(x)
+        embeddings = model.encode(x)[1]
         per_dim_std = embeddings.std(axis=0)
         assert per_dim_std.mean() > 1e-3

@@ -7,11 +7,11 @@ from repro.core import (
     PretrainConfig,
     TimeDRL,
     TimeDRLConfig,
-    fine_tune_classification,
-    fine_tune_forecasting,
     linear_evaluate_classification,
     linear_evaluate_forecasting,
-    pretrain,
+    run_finetune_classification,
+    run_finetune_forecasting,
+    run_pretrain,
 )
 from repro.core.finetune import RidgeRegressor, _label_subset
 from repro.core.pretrain import iterate_pretrain_batches
@@ -64,44 +64,44 @@ class TestIterateBatches:
 class TestPretrain:
     def test_loss_decreases(self):
         data = _forecast_data()
-        result = pretrain(_config(), data.train,
-                          PretrainConfig(epochs=4, batch_size=32, seed=0))
+        result = run_pretrain(_config(), data.train,
+                              PretrainConfig(epochs=4, batch_size=32, seed=0))
         assert len(result.history) == 4
         assert result.history[-1]["total"] < result.history[0]["total"]
 
     def test_model_left_in_eval_mode(self):
         data = _forecast_data()
-        result = pretrain(_config(), data.train,
-                          PretrainConfig(epochs=1, batch_size=32,
-                                         max_batches_per_epoch=2))
+        result = run_pretrain(_config(), data.train,
+                              PretrainConfig(epochs=1, batch_size=32,
+                                             max_batches_per_epoch=2))
         assert not result.model.training
 
     def test_wall_clock_recorded(self):
         data = _forecast_data()
-        result = pretrain(_config(), data.train,
-                          PretrainConfig(epochs=1, batch_size=32,
-                                         max_batches_per_epoch=2))
+        result = run_pretrain(_config(), data.train,
+                              PretrainConfig(epochs=1, batch_size=32,
+                                             max_batches_per_epoch=2))
         assert result.wall_clock_seconds > 0
 
     def test_final_loss_property(self):
         data = _forecast_data()
-        result = pretrain(_config(), data.train,
-                          PretrainConfig(epochs=1, batch_size=32,
-                                         max_batches_per_epoch=2))
+        result = run_pretrain(_config(), data.train,
+                              PretrainConfig(epochs=1, batch_size=32,
+                                             max_batches_per_epoch=2))
         assert result.final_loss == result.history[-1]["total"]
 
     def test_deterministic_given_seeds(self):
         data = _forecast_data()
         config = PretrainConfig(epochs=1, batch_size=16, max_batches_per_epoch=3, seed=4)
-        a = pretrain(_config(), data.train, config)
-        b = pretrain(_config(), data.train, config)
+        a = run_pretrain(_config(), data.train, config)
+        b = run_pretrain(_config(), data.train, config)
         np.testing.assert_allclose(a.final_loss, b.final_loss, rtol=1e-5)
 
     def test_classification_samples_accepted(self):
         data = _class_data()
         config = _config(seq_len=8, input_channels=2, patch_len=2, stride=2)
-        result = pretrain(config, data.x_train,
-                          PretrainConfig(epochs=1, batch_size=32))
+        result = run_pretrain(config, data.x_train,
+                              PretrainConfig(epochs=1, batch_size=32))
         assert np.isfinite(result.final_loss)
 
 
@@ -110,8 +110,8 @@ class TestLinearEvaluation:
         """Probe on pre-trained embeddings must beat predicting the window
         mean (what de-normalised zeros amount to)."""
         data = _forecast_data()
-        result = pretrain(_config(channel_independence=True), data.train,
-                          PretrainConfig(epochs=3, batch_size=32, seed=0))
+        result = run_pretrain(_config(channel_independence=True), data.train,
+                              PretrainConfig(epochs=3, batch_size=32, seed=0))
         scores = linear_evaluate_forecasting(result.model, data)
         truth = np.stack([data.test[i][1] for i in range(len(data.test))])
         means = np.stack([data.test[i][0].mean(axis=0, keepdims=True)
@@ -121,17 +121,17 @@ class TestLinearEvaluation:
 
     def test_forecasting_channel_mixing_mode(self):
         data = _forecast_data()
-        result = pretrain(_config(channel_independence=False), data.train,
-                          PretrainConfig(epochs=1, batch_size=32,
-                                         max_batches_per_epoch=4))
+        result = run_pretrain(_config(channel_independence=False), data.train,
+                              PretrainConfig(epochs=1, batch_size=32,
+                                             max_batches_per_epoch=4))
         scores = linear_evaluate_forecasting(result.model, data)
         assert np.isfinite(scores.mse) and np.isfinite(scores.mae)
 
     def test_classification_beats_chance(self):
         data = _class_data()
         config = _config(seq_len=8, input_channels=2, patch_len=2, stride=2)
-        result = pretrain(config, data.x_train,
-                          PretrainConfig(epochs=3, batch_size=32, seed=0))
+        result = run_pretrain(config, data.x_train,
+                              PretrainConfig(epochs=3, batch_size=32, seed=0))
         scores = linear_evaluate_classification(result.model, data, epochs=100)
         chance = 100.0 / data.n_classes
         assert scores.accuracy > 2 * chance
@@ -139,9 +139,9 @@ class TestLinearEvaluation:
     def test_classification_metric_ranges(self):
         data = _class_data()
         config = _config(seq_len=8, input_channels=2, patch_len=2, stride=2)
-        result = pretrain(config, data.x_train,
-                          PretrainConfig(epochs=1, batch_size=32,
-                                         max_batches_per_epoch=3))
+        result = run_pretrain(config, data.x_train,
+                              PretrainConfig(epochs=1, batch_size=32,
+                                             max_batches_per_epoch=3))
         scores = linear_evaluate_classification(result.model, data, epochs=30)
         assert 0 <= scores.accuracy <= 100
         assert 0 <= scores.macro_f1 <= 100
@@ -186,36 +186,36 @@ class TestFineTuning:
     def test_forecasting_fine_tune_runs(self):
         data = _forecast_data()
         model = TimeDRL(_config(channel_independence=True))
-        scores = fine_tune_forecasting(model, data, label_fraction=0.5,
-                                       epochs=1, seed=0)
+        scores = run_finetune_forecasting(model, data, label_fraction=0.5,
+                                          epochs=1, seed=0)
         assert np.isfinite(scores.mse)
 
     def test_more_labels_do_not_hurt_much(self):
         data = _forecast_data()
         config = _config(channel_independence=True)
-        few = fine_tune_forecasting(TimeDRL(config), data, label_fraction=0.1,
-                                    epochs=2, seed=0)
-        many = fine_tune_forecasting(TimeDRL(config), data, label_fraction=1.0,
-                                     epochs=2, seed=0)
+        few = run_finetune_forecasting(TimeDRL(config), data, label_fraction=0.1,
+                                       epochs=2, seed=0)
+        many = run_finetune_forecasting(TimeDRL(config), data, label_fraction=1.0,
+                                        epochs=2, seed=0)
         assert many.mse <= few.mse * 1.5
 
     def test_classification_fine_tune_runs(self):
         data = _class_data()
         config = _config(seq_len=8, input_channels=2, patch_len=2, stride=2)
         model = TimeDRL(config)
-        scores = fine_tune_classification(model, data, label_fraction=1.0,
-                                          epochs=2, seed=0)
+        scores = run_finetune_classification(model, data, label_fraction=1.0,
+                                             epochs=2, seed=0)
         assert 0 <= scores.accuracy <= 100
 
     def test_pretrained_start_helps_with_few_labels(self):
         data = _class_data()
         config = _config(seq_len=8, input_channels=2, patch_len=2, stride=2)
-        pretrained = pretrain(config, data.x_train,
-                              PretrainConfig(epochs=3, batch_size=32, seed=0)).model
+        pretrained = run_pretrain(config, data.x_train,
+                                  PretrainConfig(epochs=3, batch_size=32, seed=0)).model
         warm = TimeDRL(config)
         warm.load_state_dict(pretrained.state_dict())
-        warm_scores = fine_tune_classification(warm, data, label_fraction=0.3,
-                                               epochs=2, seed=0)
-        cold_scores = fine_tune_classification(TimeDRL(config), data,
-                                               label_fraction=0.3, epochs=2, seed=0)
+        warm_scores = run_finetune_classification(warm, data, label_fraction=0.3,
+                                                  epochs=2, seed=0)
+        cold_scores = run_finetune_classification(TimeDRL(config), data,
+                                                  label_fraction=0.3, epochs=2, seed=0)
         assert warm_scores.accuracy >= cold_scores.accuracy - 15.0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import PretrainConfig, TimeDRLConfig, transfer_forecasting
+from repro.core import PretrainConfig, TimeDRLConfig, run_transfer
 from repro.data import make_forecasting_data
 
 
@@ -29,14 +29,14 @@ class TestTransferForecasting:
     def test_requires_channel_independence(self):
         data = _sine_data(16, 0)
         with pytest.raises(ValueError, match="channel_independence"):
-            transfer_forecasting(data, data, _config(channel_independence=False))
+            run_transfer(data, data, _config(channel_independence=False))
 
     def test_requires_matching_seq_len(self):
         source = _sine_data(16, 0)
         target_series = np.random.default_rng(1).standard_normal((300, 2)).astype(np.float32)
         target = make_forecasting_data(target_series, seq_len=16, pred_len=4)
         with pytest.raises(ValueError, match="seq_len"):
-            transfer_forecasting(source, target, _config())
+            run_transfer(source, target, _config())
 
     def test_transfer_between_related_domains(self):
         """Pre-training on a similar-period source should transfer: the
@@ -45,7 +45,7 @@ class TestTransferForecasting:
         a strong reservoir baseline on clean sines.)"""
         source = _sine_data(16, seed=0)
         target = _sine_data(20, seed=1)
-        result = transfer_forecasting(
+        result = run_transfer(
             source, target, _config(),
             PretrainConfig(epochs=3, batch_size=32, seed=0))
         assert np.isfinite(result.transfer_mse)
@@ -56,7 +56,7 @@ class TestTransferForecasting:
 
     def test_transfer_gap_when_source_equals_target(self):
         source = _sine_data(16, seed=2)
-        result = transfer_forecasting(
+        result = run_transfer(
             source, source, _config(),
             PretrainConfig(epochs=2, batch_size=32, max_batches_per_epoch=4, seed=0))
         # Source == target: transfer IS in-domain.
@@ -72,7 +72,7 @@ class TestTransferForecasting:
                          + 0.1 * rng.standard_normal(420) for k in range(5)],
                         axis=1).astype(np.float32)
         target = make_forecasting_data(wide, seq_len=32, pred_len=8, stride=4)
-        result = transfer_forecasting(
+        result = run_transfer(
             source, target, _config(),
             PretrainConfig(epochs=1, batch_size=32, max_batches_per_epoch=3, seed=0))
         assert np.isfinite(result.transfer_mse)

@@ -22,7 +22,7 @@ from repro.checkpoint import (
     CrashAt,
     SimulatedCrash,
 )
-from repro.core import PretrainConfig, TimeDRLConfig, pretrain
+from repro.core import PretrainConfig, TimeDRLConfig, run_pretrain
 from repro.data import build_store, materialize_data_spec, open_store, synthetic_windows_spec
 from repro.telemetry.run import dataset_fingerprint
 from tests.checkpoint.common import (
@@ -56,10 +56,10 @@ class TestEquivalence:
         windows, store = corpus
         before = _threads()
 
-        in_memory = pretrain(tiny_model_config(), windows, tiny_train_config())
-        on_disk = pretrain(tiny_model_config(), str(store), tiny_train_config())
-        prefetched = pretrain(tiny_model_config(), str(store),
-                              tiny_train_config(prefetch=True, prefetch_depth=3))
+        in_memory = run_pretrain(tiny_model_config(), windows, tiny_train_config())
+        on_disk = run_pretrain(tiny_model_config(), str(store), tiny_train_config())
+        prefetched = run_pretrain(tiny_model_config(), str(store),
+                                  tiny_train_config(prefetch=True, prefetch_depth=3))
 
         assert in_memory.history == on_disk.history == prefetched.history
         assert_model_states_equal(in_memory.model.state_dict(),
@@ -71,11 +71,11 @@ class TestEquivalence:
     def test_manifest_path_and_open_dataset_accepted(self, corpus):
         """The driver takes a dir path, a manifest path, or an open dataset."""
         _, store = corpus
-        by_dir = pretrain(tiny_model_config(), str(store), tiny_train_config())
-        by_manifest = pretrain(tiny_model_config(), str(store / "manifest.json"),
-                               tiny_train_config())
+        by_dir = run_pretrain(tiny_model_config(), str(store), tiny_train_config())
+        by_manifest = run_pretrain(tiny_model_config(), str(store / "manifest.json"),
+                                   tiny_train_config())
         with open_store(store) as dataset:
-            by_object = pretrain(tiny_model_config(), dataset, tiny_train_config())
+            by_object = run_pretrain(tiny_model_config(), dataset, tiny_train_config())
         assert by_dir.history == by_manifest.history == by_object.history
 
     def test_telemetry_fingerprint_uses_manifest_not_bytes(self, corpus):
@@ -92,7 +92,7 @@ class TestKillAndResumeOutOfCore:
     """tests/checkpoint/test_resume_exact.py, with the data on disk."""
 
     def _crash_and_resume(self, tmp_path, store, crash_step, **ckpt_overrides):
-        baseline = pretrain(
+        baseline = run_pretrain(
             tiny_model_config(), str(store),
             tiny_train_config(checkpoint=CheckpointConfig(
                 directory=str(tmp_path / "baseline"), **ckpt_overrides)))
@@ -100,10 +100,10 @@ class TestKillAndResumeOutOfCore:
         ckpt = CheckpointConfig(directory=str(tmp_path / "killed"),
                                 **ckpt_overrides)
         with pytest.raises(SimulatedCrash):
-            pretrain(tiny_model_config(), str(store),
-                     tiny_train_config(checkpoint=ckpt, prefetch=True),
-                     hooks=CrashAt(crash_step))
-        resumed = pretrain(
+            run_pretrain(tiny_model_config(), str(store),
+                         tiny_train_config(checkpoint=ckpt, prefetch=True),
+                         hooks=CrashAt(crash_step))
+        resumed = run_pretrain(
             tiny_model_config(), str(store),
             tiny_train_config(checkpoint=dataclasses.replace(ckpt, resume=True),
                               prefetch=True))
@@ -141,17 +141,17 @@ class TestKillAndResumeOutOfCore:
         ``data_spec`` (kind='store') re-opens the store and the rebuilt
         run finishes bit-identical to an uninterrupted one."""
         _, store = corpus
-        baseline = pretrain(
+        baseline = run_pretrain(
             tiny_model_config(), str(store),
             tiny_train_config(checkpoint=CheckpointConfig(
                 directory=str(tmp_path / "baseline"), every_n_batches=1)))
 
         killed_dir = tmp_path / "killed"
         with pytest.raises(SimulatedCrash):
-            pretrain(tiny_model_config(), str(store),
-                     tiny_train_config(checkpoint=CheckpointConfig(
+            run_pretrain(tiny_model_config(), str(store),
+                         tiny_train_config(checkpoint=CheckpointConfig(
                          directory=str(killed_dir), every_n_batches=1)),
-                     hooks=CrashAt(7))
+                         hooks=CrashAt(7))
 
         # Rebuild everything from checkpoint metadata alone, exactly as
         # cli._runs_resume does — no reference to the original objects.
@@ -165,9 +165,9 @@ class TestKillAndResumeOutOfCore:
         ckpt_dict = dict(train_dict.get("checkpoint") or {})
         ckpt_dict.update(directory=str(killed_dir), resume=True)
         train_dict["checkpoint"] = ckpt_dict
-        resumed = pretrain(TimeDRLConfig(**meta["model_config"]),
-                           materialize_data_spec(data_spec),
-                           PretrainConfig(**train_dict))
+        resumed = run_pretrain(TimeDRLConfig(**meta["model_config"]),
+                               materialize_data_spec(data_spec),
+                               PretrainConfig(**train_dict))
 
         assert resumed.resumed_from_step == 8
         assert baseline.history == resumed.history
@@ -178,8 +178,9 @@ class TestKillAndResumeOutOfCore:
         """A user-provided CheckpointConfig.data_spec wins over auto-fill."""
         _, store = corpus
         explicit = {"kind": "store", "path": str(store)}
-        pretrain(tiny_model_config(), str(store),
-                 tiny_train_config(epochs=1, checkpoint=CheckpointConfig(
-                     directory=str(tmp_path / "ckpt"), data_spec=explicit)))
+        run_pretrain(tiny_model_config(), str(store),
+                     tiny_train_config(epochs=1, checkpoint=CheckpointConfig(
+                         directory=str(tmp_path / "ckpt"),
+                         data_spec=explicit)))
         __, meta = CheckpointManager(tmp_path / "ckpt").load_latest()
         assert meta["data_spec"] == explicit

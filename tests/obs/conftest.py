@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.checkpoint import CheckpointConfig
-from repro.core import PretrainConfig, TimeDRLConfig, pretrain
+from repro.core import PretrainConfig, TimeDRLConfig, run_pretrain
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry
@@ -53,7 +53,7 @@ def checkpoint_dir(tmp_path_factory, windows):
     config = TimeDRLConfig(seq_len=SEQ_LEN, input_channels=CHANNELS,
                            patch_len=8, stride=8, d_model=32,
                            num_heads=2, num_layers=1, seed=3)
-    pretrain(config, windows, PretrainConfig(
+    run_pretrain(config, windows, PretrainConfig(
         epochs=1, batch_size=16, seed=3,
         checkpoint=CheckpointConfig(directory=str(directory),
                                     every_n_epochs=1)))

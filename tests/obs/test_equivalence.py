@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.checkpoint import CheckpointConfig, CheckpointManager
-from repro.core import PretrainConfig, TimeDRLConfig, pretrain
-from repro.core.finetune import fine_tune_classification
+from repro.core import (PretrainConfig, TimeDRLConfig,
+                        run_finetune_classification, run_pretrain)
 from repro.data import PrefetchLoader
 from repro.data.datasets import make_classification_data
 from repro.obs import metrics as obs_metrics
@@ -28,7 +28,7 @@ def _fixed_seed_pretrain():
     data = np.random.default_rng(11).standard_normal(
         (48, 32, 2)).astype(np.float32)
     config = PretrainConfig(epochs=3, batch_size=16, seed=0)
-    result = pretrain(TimeDRLConfig(**TINY), data, config)
+    result = run_pretrain(TimeDRLConfig(**TINY), data, config)
     return result.history, result.model.state_dict()
 
 
@@ -68,10 +68,10 @@ class TestTrainingInstrumentation:
         windows = rng.standard_normal((40, 32, 2)).astype(np.float32)
         labels = np.tile([0, 1], 20)
         data = make_classification_data(windows, labels, seed=0)
-        model = pretrain(TimeDRLConfig(**TINY), windows,
-                         PretrainConfig(epochs=1, batch_size=16,
-                                        seed=0)).model
-        fine_tune_classification(model, data, epochs=2, batch_size=16, seed=0)
+        model = run_pretrain(TimeDRLConfig(**TINY), windows,
+                             PretrainConfig(epochs=1, batch_size=16,
+                                            seed=0)).model
+        run_finetune_classification(model, data, epochs=2, batch_size=16, seed=0)
         child = registry.get("train_epochs_total").labels(
             phase="finetune_classification")
         assert child.value == 2
@@ -99,7 +99,7 @@ class TestCheckpointInstrumentation:
     def test_save_and_load_metrics(self, registry, tmp_path):
         data = np.random.default_rng(11).standard_normal(
             (48, 32, 2)).astype(np.float32)
-        pretrain(TimeDRLConfig(**TINY), data, PretrainConfig(
+        run_pretrain(TimeDRLConfig(**TINY), data, PretrainConfig(
             epochs=2, batch_size=16, seed=0,
             checkpoint=CheckpointConfig(directory=str(tmp_path),
                                         every_n_epochs=1)))

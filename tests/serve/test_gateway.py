@@ -296,3 +296,76 @@ class TestReport:
         assert "encode" in report["latency"]
         assert report["cache"]["capacity"] == 1024
         assert report["swap"] is None
+
+
+class TestOneHandle:
+    """An admitted request has one handle, one Event and one validation."""
+
+    def test_engine_queues_the_gateway_handle(self, registry, gateway,
+                                              windows, monkeypatch):
+        from repro.serve import BatchingEngine, InferenceRequest
+
+        queued = []
+        submit = BatchingEngine.submit
+
+        def spy(engine, x, kind="encode", deadline_s=None, on_done=None,
+                request=None):
+            returned = submit(engine, x, kind, deadline_s, on_done, request)
+            queued.append((request, returned))
+            return returned
+
+        monkeypatch.setattr(BatchingEngine, "submit", spy)
+        handle = gateway.submit(windows[:2])
+        gateway.flush()
+        assert isinstance(handle, InferenceRequest)
+        assert queued == [(handle, handle)]
+        handle.result(0.0)
+
+    def test_one_event_and_one_validation_per_request(self, registry,
+                                                      gateway, windows,
+                                                      monkeypatch):
+        from repro.serve import LoadedModel
+
+        events, validations = [], []
+
+        class CountingEvent(threading.Event):
+            def __init__(self):
+                events.append(self)
+                super().__init__()
+
+        validate = LoadedModel.validate_input
+
+        def counting_validate(loaded, x):
+            validations.append(x)
+            return validate(loaded, x)
+
+        monkeypatch.setattr(threading, "Event", CountingEvent)
+        monkeypatch.setattr(LoadedModel, "validate_input", counting_validate)
+        requests = [gateway.submit(windows[i:i + 2]) for i in range(0, 8, 2)]
+        gateway.flush()
+        for request in requests:
+            request.result(0.0)
+        assert len(events) == len(requests)
+        assert len(validations) == len(requests)
+
+    def test_woken_caller_sees_admission_released_and_breaker_recorded(
+            self, registry, windows, monkeypatch):
+        gateway = ServingGateway(registry, "serving", GatewayConfig(
+            breaker=fast_breaker(window=64, min_requests=64))).start()
+        release = gateway.admission.release
+
+        def slow_release(windows):
+            # Widen the window in which a caller woken too early would
+            # still see its windows in flight.
+            time.sleep(0.002)
+            release(windows)
+
+        monkeypatch.setattr(gateway.admission, "release", slow_release)
+        try:
+            for i in range(12):
+                request = gateway.submit(windows[i:i + 1])
+                request.result(5.0)
+                assert gateway.admission.in_flight == 0
+                assert gateway.breaker.snapshot()["window"] == i + 1
+        finally:
+            gateway.close()

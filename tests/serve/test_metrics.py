@@ -14,7 +14,7 @@ import threading
 
 import pytest
 
-from repro.serve.metrics import LatencyHistogram, latency_report
+from repro.serve.metrics import LatencyHistogram
 
 
 class TestSummaryContract:
@@ -92,20 +92,3 @@ class TestThreadSafety:
         for t in threads:
             t.join()
         assert hist.count == 40_000
-
-
-class TestLatencyReport:
-    def test_report_shape(self):
-        hist = LatencyHistogram("encode")
-        hist.record(0.002)
-        report = latency_report({"encode": hist}, windows=32, elapsed_s=2.0,
-                                cache_stats={"hits": 1, "misses": 3},
-                                mode="encode")
-        assert report["throughput"]["windows_per_s"] == pytest.approx(16.0)
-        assert report["latency_ms"]["encode"]["count"] == 1
-        assert report["cache"] == {"hits": 1, "misses": 3}
-        assert report["mode"] == "encode"
-
-    def test_zero_elapsed_throughput_is_none(self):
-        report = latency_report({}, windows=0, elapsed_s=0.0)
-        assert report["throughput"]["windows_per_s"] is None

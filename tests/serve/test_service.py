@@ -1,4 +1,5 @@
-"""InferenceService façade + ``repro serve`` CLI smoke tests."""
+"""The gateway as the one serving front door: batch mode, the serving
+report, and the ``repro serve`` CLI smoke tests."""
 
 from __future__ import annotations
 
@@ -8,16 +9,24 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.serve import InferenceService, ServiceConfig
+from repro.serve import (BatchingConfig, GatewayConfig, ModelRegistry,
+                         ServingGateway)
 from repro.telemetry import Run
 
 from .conftest import CHANNELS, SEQ_LEN
 
 
+def _gateway(checkpoint_dir, run=None, **config) -> ServingGateway:
+    registry = ModelRegistry(run=run)
+    registry.load(checkpoint_dir, alias="serving")
+    return ServingGateway(registry, "serving", GatewayConfig(**config),
+                          run=run)
+
+
 @pytest.fixture()
 def service(checkpoint_dir):
-    return InferenceService.from_checkpoint(
-        checkpoint_dir, ServiceConfig(max_batch_size=16, cache_size=64))
+    return _gateway(checkpoint_dir, cache_size=64,
+                    batching=BatchingConfig(max_batch_size=16))
 
 
 class TestServeWindows:
@@ -47,12 +56,30 @@ class TestServeWindows:
             service.serve_windows(windows, request_size=0)
 
     def test_cache_can_be_disabled(self, checkpoint_dir, windows):
-        service = InferenceService.from_checkpoint(
-            checkpoint_dir, ServiceConfig(cache_size=0))
+        service = _gateway(checkpoint_dir, cache_size=0)
         assert service.cache is None
         ts, inst = service.serve_windows(windows[:4])
         np.testing.assert_array_equal(
             inst, service.loaded.model.encode(windows[:4])[1])
+
+    def test_tenants_round_robin(self, checkpoint_dir, windows):
+        from repro.serve import TenantConfig
+
+        service = _gateway(checkpoint_dir, tenants=(
+            TenantConfig(name="a"), TenantConfig(name="b")))
+        service.serve_windows(windows[:6], request_size=1,
+                              tenants=("a", "b"))
+        assert service.report()["admission"]["admitted"] == {"a": 3, "b": 3}
+
+    def test_shed_request_retried_after_backlog_drains(self, checkpoint_dir,
+                                                       windows):
+        # A 4-window budget admits two 2-window requests; the third is
+        # shed, then admitted once the backlog is flushed.
+        service = _gateway(checkpoint_dir, max_queue_windows=4)
+        ts, inst = service.serve_windows(windows[:12], request_size=2)
+        np.testing.assert_array_equal(
+            inst, service.loaded.model.encode(windows[:12])[1])
+        assert service.report()["shed"]["overload"] >= 1
 
 
 class TestReport:
@@ -61,18 +88,18 @@ class TestReport:
         report = service.report()
         assert report["throughput"]["windows"] == 8
         assert report["throughput"]["windows_per_s"] > 0
-        encode = report["latency_ms"]["encode"]
+        encode = report["latency"]["encode"]
         assert encode["count"] == 4
         assert encode["p50_ms"] <= encode["p95_ms"] <= encode["max_ms"]
         assert report["cache"]["capacity"] == 64
-        assert report["model"]["seq_len"] == SEQ_LEN
+        assert report["fingerprint"] == service.loaded.fingerprint
         assert report["engine"]["batches_run"] >= 1
+        assert report["admission"]["admitted"] == {"default": 4}
         json.dumps(report)  # must be JSON-serializable as emitted by the CLI
 
     def test_report_emits_telemetry_metric(self, checkpoint_dir, windows):
         run = Run.in_memory()
-        service = InferenceService.from_checkpoint(
-            checkpoint_dir, ServiceConfig(cache_size=32), run=run)
+        service = _gateway(checkpoint_dir, run=run, cache_size=32)
         service.serve_windows(windows[:8], request_size=1)
         service.serve_windows(windows[:8], request_size=1)
         service.report()
@@ -146,3 +173,25 @@ class TestCLI:
         assert len(manifests) == 1
         manifest = json.loads(manifests[0].read_text())
         assert manifest["status"] == "completed"
+
+    def test_serve_gateway_flags(self, checkpoint_dir, tmp_path):
+        report_path = tmp_path / "gateway.json"
+        code = main(["serve", "--checkpoint", str(checkpoint_dir),
+                     "--synthetic", "16", "--tenant", "heavy:3:500:100",
+                     "--tenant", "light:1", "--deadline-ms", "500",
+                     "--queue-windows", "8", "--report", str(report_path)])
+        assert code == 0
+        admitted = json.loads(report_path.read_text())["admission"]["admitted"]
+        assert admitted["heavy"] > 0 and admitted["light"] > 0
+
+    @pytest.mark.parametrize("command", [
+        ["serve", "--checkpoint", "unused", "--synthetic", "2"],
+        ["swap", "--checkpoint", "unused", "--candidate", "unused"],
+        ["obs", "export", "--checkpoint", "unused"],
+    ], ids=["serve", "swap", "obs"])
+    def test_request_size_below_one_rejected_at_parsing(self, command,
+                                                        capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--request-size", "0"])
+        assert excinfo.value.code == 2
+        assert "--request-size" in capsys.readouterr().err

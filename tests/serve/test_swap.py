@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.checkpoint import CheckpointConfig
-from repro.core import PretrainConfig, TimeDRLConfig, pretrain
+from repro.core import PretrainConfig, TimeDRLConfig, run_pretrain
 from repro.serve import (GatewayConfig, ModelRegistry, ServingGateway,
                          SwapConfig, SwapFailed)
 
@@ -33,7 +33,7 @@ def _train(directory, epochs=1, seq_len=SEQ_LEN, channels=CHANNELS, seed=3):
     config = TimeDRLConfig(seq_len=seq_len, input_channels=channels,
                            patch_len=8, stride=8, d_model=32,
                            num_heads=2, num_layers=1, seed=seed)
-    pretrain(config, windows, PretrainConfig(
+    run_pretrain(config, windows, PretrainConfig(
         epochs=epochs, batch_size=16, seed=seed,
         checkpoint=CheckpointConfig(directory=str(directory),
                                     every_n_epochs=epochs)))

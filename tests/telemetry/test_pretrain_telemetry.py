@@ -7,8 +7,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.config import PretrainConfig, TimeDRLConfig
-from repro.core.finetune import fine_tune_classification
-from repro.core.pretrain import pretrain
+from repro.core import run_finetune_classification, run_pretrain
 from repro.data.datasets import make_classification_data
 from repro.experiments import SMOKE, forecasting_table
 from repro.telemetry import Run, find_run, list_runs, loss_curve_svg
@@ -25,8 +24,8 @@ def _pretrain_run(tmp_path, seed=0, **overrides):
     config = dict(epochs=3, batch_size=16, seed=seed, telemetry=True,
                   run_root=tmp_path)
     config.update(overrides)
-    return pretrain(TimeDRLConfig(**TINY), _samples(seed=0),
-                    PretrainConfig(**config))
+    return run_pretrain(TimeDRLConfig(**TINY), _samples(seed=0),
+                        PretrainConfig(**config))
 
 
 class TestPretrainTelemetry:
@@ -63,9 +62,9 @@ class TestPretrainTelemetry:
 
     def test_disabled_telemetry_touches_no_files(self, tmp_path):
         root = tmp_path / "runs"
-        result = pretrain(TimeDRLConfig(**TINY), _samples(),
-                          PretrainConfig(epochs=1, batch_size=16, seed=0,
-                                         telemetry=False, run_root=root))
+        result = run_pretrain(TimeDRLConfig(**TINY), _samples(),
+                              PretrainConfig(epochs=1, batch_size=16, seed=0,
+                                             telemetry=False, run_root=root))
         assert result.run_id is None and result.run_dir is None
         assert not root.exists()
 
@@ -79,8 +78,8 @@ class TestPretrainTelemetry:
 
     def test_external_run_ownership(self, tmp_path):
         run = Run.create(root=tmp_path, name="owned")
-        pretrain(TimeDRLConfig(**TINY), _samples(),
-                 PretrainConfig(epochs=1, batch_size=16, seed=0), run=run)
+        run_pretrain(TimeDRLConfig(**TINY), _samples(),
+                     PretrainConfig(epochs=1, batch_size=16, seed=0), run=run)
         assert run.status == "running"  # caller still owns the lifecycle
         run.finish()
         assert Run.load(run.directory).status == "completed"
@@ -100,8 +99,8 @@ class TestFinetuneTelemetry:
         run = Run.create(root=tmp_path, name="ft")
         from repro.core.model import TimeDRL
         model = TimeDRL(TimeDRLConfig(**TINY))
-        result = fine_tune_classification(model, data, epochs=2, batch_size=16,
-                                          seed=0, run=run)
+        result = run_finetune_classification(model, data, epochs=2, batch_size=16,
+                                             seed=0, run=run)
         run.finish()
         loaded = Run.load(run.directory)
         assert len(loaded.epoch_metrics) == 2

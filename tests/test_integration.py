@@ -15,7 +15,7 @@ from repro.core import (
     TimeDRLConfig,
     linear_evaluate_classification,
     linear_evaluate_forecasting,
-    pretrain,
+    run_pretrain,
 )
 from repro.data import (
     CLASSIFICATION_DATASETS,
@@ -39,7 +39,7 @@ def test_forecasting_pipeline(dataset):
     config = TimeDRLConfig(seq_len=32, input_channels=info.features,
                            patch_len=8, stride=8, d_model=16, num_heads=2,
                            num_layers=1, channel_independence=True, seed=0)
-    result = pretrain(config, data.train, _FAST)
+    result = run_pretrain(config, data.train, _FAST)
     scores = linear_evaluate_forecasting(result.model, data)
     assert np.isfinite(scores.mse) and scores.mse >= 0
     assert np.isfinite(scores.mae) and scores.mae >= 0
@@ -56,7 +56,7 @@ def test_classification_pipeline(dataset):
                            patch_len=patch_len, stride=patch_len,
                            d_model=16, num_heads=2, num_layers=1,
                            channel_independence=False, seed=0)
-    result = pretrain(config, data.x_train, _FAST)
+    result = run_pretrain(config, data.x_train, _FAST)
     scores = linear_evaluate_classification(result.model, data, epochs=30)
     assert 0 <= scores.accuracy <= 100
     assert -100 <= scores.kappa <= 100
@@ -69,7 +69,7 @@ def test_pretrain_save_load_probe_round_trip(tmp_path):
     config = TimeDRLConfig(seq_len=32, input_channels=7, patch_len=8, stride=8,
                            d_model=16, num_heads=2, num_layers=1,
                            channel_independence=True, seed=0)
-    result = pretrain(config, data.train, _FAST)
+    result = run_pretrain(config, data.train, _FAST)
     original = linear_evaluate_forecasting(result.model, data)
 
     path = str(tmp_path / "model.npz")
@@ -88,9 +88,9 @@ def test_embeddings_feed_clustering_and_anomaly_paths():
     data = make_classification_data(x, y, seed=0)
     config = TimeDRLConfig(seq_len=8, input_channels=2, patch_len=2, stride=2,
                            d_model=16, num_heads=2, num_layers=1, seed=0)
-    result = pretrain(config, data.x_train, _FAST)
+    result = run_pretrain(config, data.x_train, _FAST)
 
-    embeddings = result.model.instance_embeddings(data.x_test)
+    embeddings = result.model.encode(data.x_test)[1]
     clustering = evaluate_clustering(embeddings, data.y_test, seed=0)
     assert 0 <= clustering.nmi <= 1
     assert 0 <= clustering.accuracy <= 1
@@ -111,8 +111,8 @@ def test_cross_seed_stability_of_forecasting_probe():
         config = TimeDRLConfig(seq_len=32, input_channels=7, patch_len=8,
                                stride=8, d_model=16, num_heads=2, num_layers=1,
                                channel_independence=True, seed=seed)
-        result = pretrain(config, data.train,
-                          PretrainConfig(epochs=1, batch_size=16,
-                                         max_batches_per_epoch=6, seed=seed))
+        result = run_pretrain(config, data.train,
+                              PretrainConfig(epochs=1, batch_size=16,
+                                             max_batches_per_epoch=6, seed=seed))
         mses.append(linear_evaluate_forecasting(result.model, data).mse)
     assert max(mses) < 3 * min(mses)

@@ -1,10 +1,11 @@
-"""The ``repro.train`` facade and its deprecation shims.
+"""The ``repro.train`` facade.
 
-The API-redesign contract: every deprecated free function
-(``repro.core.pretrain``, ``fine_tune_forecasting``,
-``fine_tune_classification``, ``transfer_forecasting``) warns
-``DeprecationWarning`` and produces **bit-identical** results to the
-:class:`TrainSession` facade it delegates to.
+The API contract: a :class:`TrainSession` phase run with the same
+settings is **bit-identical** to the bare ``repro.core`` driver it
+wraps (:func:`~repro.core.run_pretrain`,
+:func:`~repro.core.run_finetune_forecasting`,
+:func:`~repro.core.run_finetune_classification`,
+:func:`~repro.core.run_transfer`).
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from repro.core import (
     RuntimeOptions,
     TimeDRL,
     TimeDRLConfig,
-    fine_tune_classification,
-    fine_tune_forecasting,
-    pretrain,
-    transfer_forecasting,
+    run_finetune_classification,
+    run_finetune_forecasting,
+    run_pretrain,
+    run_transfer,
 )
 from repro.data import make_classification_data, make_forecasting_data
 from repro.telemetry import Run
@@ -67,16 +68,54 @@ def _assert_models_equal(a: TimeDRL, b: TimeDRL) -> None:
         assert np.array_equal(state_a[name], state_b[name]), name
 
 
-class TestPretrainShim:
-    def test_warns_and_is_bit_identical(self):
+class TestSessionMatchesBareDrivers:
+    def test_pretrain_is_bit_identical(self):
         data = _samples()
         config = PretrainConfig(epochs=2, batch_size=8, seed=0)
         facade = TrainSession(_model_config()).pretrain(
             data, options=TrainOptions(pretrain=config))
-        with pytest.warns(DeprecationWarning, match="repro.train"):
-            legacy = pretrain(_model_config(), data, config)
-        assert legacy.history == facade.history
-        _assert_models_equal(legacy.model, facade.model)
+        bare = run_pretrain(_model_config(), data, config)
+        assert bare.history == facade.history
+        _assert_models_equal(bare.model, facade.model)
+
+    def test_finetune_forecasting_is_bit_identical(self):
+        data = _forecast_data()
+        bare = run_finetune_forecasting(
+            TimeDRL(_model_config()), data, epochs=1, batch_size=16, seed=0)
+        session = TrainSession(_model_config(),
+                               model=TimeDRL(_model_config()))
+        facade = session.finetune(
+            data, task="forecasting",
+            options=TrainOptions(epochs=1, batch_size=16, seed=0))
+        assert bare.mse == facade.mse
+        assert bare.mae == facade.mae
+
+    def test_finetune_classification_is_bit_identical(self):
+        data = _class_data()
+        config = _model_config(channel_independence=False)
+        bare = run_finetune_classification(
+            TimeDRL(config), data, epochs=1, batch_size=16, seed=0)
+        facade = TrainSession(config, model=TimeDRL(config)).finetune(
+            data, task="classification",
+            options=TrainOptions(epochs=1, batch_size=16, seed=0))
+        assert bare.accuracy == facade.accuracy
+        assert bare.macro_f1 == facade.macro_f1
+        assert bare.kappa == facade.kappa
+
+    def test_transfer_is_bit_identical(self):
+        source, target = _forecast_data(24, 0), _forecast_data(30, 1)
+        config = _model_config()
+        train_config = PretrainConfig(epochs=1, batch_size=16, seed=0)
+        bare = run_transfer(source, target, config, train_config=train_config)
+        facade = TrainSession(config).transfer(
+            source, target, options=TrainOptions(pretrain=train_config))
+        assert bare.transfer_mse == facade.transfer_mse
+        assert bare.in_domain_mse == facade.in_domain_mse
+        assert bare.random_mse == facade.random_mse
+
+
+class TestPretrainShim:
+    """``repro.train.pretrain``: a one-shot session behind a function."""
 
     def test_module_level_convenience_function(self):
         from repro.train import pretrain as train_pretrain
@@ -91,58 +130,17 @@ class TestPretrainShim:
 
 
 class TestFinetuneShims:
-    def test_forecasting_warns_and_is_bit_identical(self):
-        data = _forecast_data()
-        with pytest.warns(DeprecationWarning, match="TrainSession"):
-            legacy = fine_tune_forecasting(
-                TimeDRL(_model_config()), data, epochs=1, batch_size=16,
-                seed=0)
-        session = TrainSession(_model_config(),
-                               model=TimeDRL(_model_config()))
-        facade = session.finetune(
-            data, task="forecasting",
-            options=TrainOptions(epochs=1, batch_size=16, seed=0))
-        assert legacy.mse == facade.mse
-        assert legacy.mae == facade.mae
+    """The fine-tuning drivers' legacy keyword arguments."""
 
-    def test_classification_warns_and_is_bit_identical(self):
-        data = _class_data()
-        config = _model_config(channel_independence=False)
-        with pytest.warns(DeprecationWarning, match="TrainSession"):
-            legacy = fine_tune_classification(
-                TimeDRL(config), data, epochs=1, batch_size=16, seed=0)
-        facade = TrainSession(config, model=TimeDRL(config)).finetune(
-            data, task="classification",
-            options=TrainOptions(epochs=1, batch_size=16, seed=0))
-        assert legacy.accuracy == facade.accuracy
-        assert legacy.macro_f1 == facade.macro_f1
-        assert legacy.kappa == facade.kappa
-
-    def test_runtime_kwarg_stays_authoritative(self, tmp_path):
-        # Legacy rule: an explicit ``runtime=`` bundle wins over the
-        # ``profile``/``checkpoint`` kwargs.  The shim must preserve it.
+    def test_runtime_kwarg_stays_authoritative(self):
+        # An explicit ``runtime=`` bundle wins over the
+        # ``profile``/``checkpoint`` kwargs.
         data = _forecast_data()
         runtime = RuntimeOptions(profile=False)
-        with pytest.warns(DeprecationWarning):
-            result = fine_tune_forecasting(
-                TimeDRL(_model_config()), data, epochs=1, seed=0,
-                profile=True, runtime=runtime)
+        result = run_finetune_forecasting(
+            TimeDRL(_model_config()), data, epochs=1, seed=0,
+            profile=True, runtime=runtime)
         assert result.profile is None  # runtime said no profiling
-
-
-class TestTransferShim:
-    def test_warns_and_is_bit_identical(self):
-        source, target = _forecast_data(24, 0), _forecast_data(30, 1)
-        config = _model_config()
-        train_config = PretrainConfig(epochs=1, batch_size=16, seed=0)
-        with pytest.warns(DeprecationWarning, match="TrainSession"):
-            legacy = transfer_forecasting(source, target, config,
-                                          train_config=train_config)
-        facade = TrainSession(config).transfer(
-            source, target, options=TrainOptions(pretrain=train_config))
-        assert legacy.transfer_mse == facade.transfer_mse
-        assert legacy.in_domain_mse == facade.in_domain_mse
-        assert legacy.random_mse == facade.random_mse
 
 
 class TestTrainOptions:
