@@ -92,3 +92,26 @@ class TestThreadSafety:
         for t in threads:
             t.join()
         assert hist.count == 40_000
+
+
+class TestLatencyReport:
+    def test_report_shape(self, checkpoint_dir, windows):
+        # The serving report's throughput, latency and cache sections are
+        # built from the engine's LatencyHistograms by the gateway.
+        from repro.serve import GatewayConfig, ModelRegistry, ServingGateway
+
+        registry = ModelRegistry()
+        registry.load(checkpoint_dir, alias="serving")
+        gateway = ServingGateway(registry, "serving",
+                                 GatewayConfig(cache_size=8))
+        gateway.serve_windows(windows[:4], request_size=4)
+        gateway.serve_windows(windows[:4], request_size=4)
+        report = gateway.report(emit=False)
+        throughput = report["throughput"]
+        assert throughput["windows"] == 8
+        assert throughput["windows_per_s"] == pytest.approx(
+            throughput["windows"] / throughput["elapsed_s"])
+        # Every answered request is timed, cache hits included.
+        assert report["latency"]["encode"]["count"] == 2
+        assert report["cache"]["hits"] == 1
+        assert report["cache"]["misses"] == 1
