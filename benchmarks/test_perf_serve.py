@@ -93,7 +93,7 @@ def _measure_suite(checkpoint_dir: pathlib.Path) -> dict:
     direct_s = timed_direct()
 
     def timed_pass(front: ServingGateway) -> dict:
-        hist = front.engine.latency["encode"]
+        hist = front._engine.latency["encode"]
         hist.reset()
         start = time.perf_counter()
         front.serve_windows(windows, request_size=WORKLOAD["request_size"])
@@ -177,7 +177,7 @@ def _measure_overload(checkpoint_dir: pathlib.Path) -> dict:
                 shed += 1
                 gateway.flush()    # drain the admitted backlog, move on
         gateway.flush()
-        hist = gateway.engine.latency["encode"]
+        hist = gateway._engine.latency["encode"]
         gated = {"served": served, "shed": shed,
                  "p50_ms": hist.percentile(50),
                  "p99_ms": hist.percentile(99),

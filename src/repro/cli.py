@@ -613,8 +613,8 @@ def _run_serve(args) -> int:
     through the gateway (admission, deadlines, breaker, cache)."""
     import numpy as np
 
-    from .serve import (BatchingConfig, GatewayConfig, ModelRegistry,
-                        RegistryError, ServingGateway)
+    from .serve import (BatchingConfig, GatewayConfig, GatewayError,
+                        ModelRegistry, RegistryError, ServingGateway)
 
     if args.obs:
         from . import obs
@@ -653,7 +653,9 @@ def _run_serve(args) -> int:
                     windows, mode=args.mode, request_size=args.request_size,
                     tenants=names)
             report = gateway.report()
-    except (RegistryError, ValueError, OSError) as error:
+    except (RegistryError, GatewayError, ValueError, OSError) as error:
+        # A GatewayError here means some request went unanswered: no
+        # --output is written, since it would not line up with the input.
         print(f"error: {error}", file=sys.stderr)
         if run is not None:
             run.finish(status="failed")
@@ -1396,7 +1398,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "token-bucket quota in windows/s")
     serve.add_argument("--deadline-ms", type=float, default=0.0,
                        help="gateway per-request deadline (0 = none)")
-    serve.add_argument("--queue-windows", type=int, default=1024,
+    serve.add_argument("--queue-windows", type=_positive_int, default=1024,
                        help="gateway in-flight window budget before "
                             "overload shedding")
     serve.add_argument("--stale-ok", action="store_true",
@@ -1586,7 +1588,17 @@ def _emit(result, name: str, output: pathlib.Path | None) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.experiment in ("serve", "swap", "obs"):
+        from .serve import GatewayConfig
+
+        budget = getattr(args, "queue_windows",
+                         GatewayConfig.max_queue_windows)
+        if args.request_size > budget:
+            parser.error(f"--request-size {args.request_size} exceeds the "
+                         f"gateway's in-flight budget of {budget} windows; "
+                         f"no request of that size could be admitted")
     if args.experiment == "list":
         for name, (__, description) in EXPERIMENTS.items():
             console_log(f"{name:8} {description}")

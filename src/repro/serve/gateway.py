@@ -56,7 +56,8 @@ from .batching import BatchingConfig, BatchingEngine, InferenceRequest
 from .breaker import BreakerConfig, CircuitBreaker
 from .cache import EmbeddingCache, input_digest
 from .errors import (CircuitOpen, DeadlineExceeded, EngineClosed,
-                     Overloaded, QuotaExceeded, RetryableError, SwapFailed)
+                     GatewayError, Overloaded, QuotaExceeded,
+                     RetryableError, SwapFailed)
 from .registry import LoadedModel, ModelRegistry
 from .swap import ShadowValidator, SwapConfig, SwapHandle
 
@@ -185,11 +186,6 @@ class ServingGateway:
 
     # -- properties --------------------------------------------------------
     @property
-    def engine(self) -> BatchingEngine:
-        """The engine serving now (a promoting swap replaces it)."""
-        return self._engine
-
-    @property
     def loaded(self) -> LoadedModel:
         return self._engine.loaded
 
@@ -292,15 +288,23 @@ class ServingGateway:
         engine coalesces them back into micro-batches.  A request shed
         at the door is retried once, after the admitted backlog drains
         (deferred mode) or after its ``retry_after_s`` (threaded mode).
-        Answers come back stacked in submission order: ``(timestamp,
-        instance)`` for ``mode="encode"``, the predictions for
-        ``"predict"``.  Requests still refused, or expired, are left out
-        (``report()`` counts them); ``None`` if nothing was answered.
+        Answers come back stacked in submission order, one row per input
+        window: ``(timestamp, instance)`` for ``mode="encode"``, the
+        predictions for ``"predict"``.  A workload with any request
+        still refused or expired raises :class:`GatewayError` rather
+        than return a stack that no longer lines up with the input
+        (``report()`` counts the shed requests).
         """
         if request_size < 1:
             raise ValueError("request_size must be >= 1")
+        if request_size > self.config.max_queue_windows:
+            raise ValueError(
+                f"request_size {request_size} exceeds the gateway's "
+                f"in-flight budget of {self.config.max_queue_windows} "
+                f"windows; no request of that size can be admitted")
         windows = np.asarray(windows)
         pending = []
+        failures = []
         # One root trace per workload: every request below derives its
         # context from this span, so the whole pass shares one trace_id
         # through gateway, engine, worker thread, and cache.
@@ -312,11 +316,14 @@ class ServingGateway:
                     range(0, windows.shape[0], request_size)):
                 x = windows[start:start + request_size]
                 tenant = tenants[index % len(tenants)]
-                for __ in range(2):
+                for attempt in range(2):
                     try:
                         pending.append(self.submit(x, mode, tenant=tenant))
                         break
                     except RetryableError as error:
+                        if attempt:
+                            failures.append(error)
+                            break
                         if self._threaded:
                             time.sleep(error.retry_after_s)
                         else:
@@ -327,8 +334,13 @@ class ServingGateway:
             for request in pending:
                 try:
                     answers.append(request.result())
-                except (RetryableError, DeadlineExceeded):
-                    pass
+                except (RetryableError, DeadlineExceeded) as error:
+                    failures.append(error)
+        if failures:
+            raise GatewayError(
+                f"{len(failures)} of {len(failures) + len(answers)} requests "
+                f"went unanswered (first: {failures[0]}); no partial "
+                f"result is returned") from failures[0]
         if not answers:
             return None
         if mode == "encode":
@@ -607,12 +619,12 @@ class ServingGateway:
         self.close()
 
     # -- reporting ---------------------------------------------------------
-    def report(self, emit: bool = True) -> dict:
+    def report(self) -> dict:
         """One consistent status snapshot (CLI, telemetry, tests).
 
         ``throughput`` counts the windows answered since construction.
-        With ``emit=True`` and an enabled telemetry run, the headline
-        numbers also land there as a ``metric`` event (``serve_report``).
+        With an enabled telemetry run, the headline numbers also land
+        there as a ``metric`` event (``serve_report``).
         """
         elapsed = time.perf_counter() - self._started
         engine = self._engine
@@ -648,7 +660,7 @@ class ServingGateway:
                       "shadow": swap_handle.validator.summary()})
                     if swap_handle is not None else None,
         }
-        if emit and getattr(self.run, "enabled", False):
+        if getattr(self.run, "enabled", False):
             payload = {"windows_per_s": report["throughput"]["windows_per_s"],
                        "batches_run": report["engine"]["batches_run"]}
             for kind, summary in latency.items():

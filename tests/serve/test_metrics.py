@@ -106,7 +106,7 @@ class TestLatencyReport:
                                  GatewayConfig(cache_size=8))
         gateway.serve_windows(windows[:4], request_size=4)
         gateway.serve_windows(windows[:4], request_size=4)
-        report = gateway.report(emit=False)
+        report = gateway.report()
         throughput = report["throughput"]
         assert throughput["windows"] == 8
         assert throughput["windows_per_s"] == pytest.approx(

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.serve import (BatchingConfig, GatewayConfig, ModelRegistry,
-                         ServingGateway)
+from repro.serve import (BatchingConfig, GatewayConfig, GatewayError,
+                         ModelRegistry, ServingGateway, TenantConfig)
 from repro.telemetry import Run
 
 from .conftest import CHANNELS, SEQ_LEN
@@ -55,6 +55,31 @@ class TestServeWindows:
         with pytest.raises(ValueError, match="request_size"):
             service.serve_windows(windows, request_size=0)
 
+    def test_request_size_above_budget_rejected(self, checkpoint_dir,
+                                                windows):
+        # No request larger than the in-flight budget can ever be
+        # admitted, so the workload is refused before anything is served.
+        service = _gateway(checkpoint_dir, max_queue_windows=4)
+        with pytest.raises(ValueError, match="in-flight budget"):
+            service.serve_windows(windows[:10], request_size=5)
+        assert service.report()["throughput"]["windows"] == 0
+
+    @pytest.mark.parametrize("config", [
+        # Two windows of quota that never refill within the test: the
+        # third request is refused at the door twice.
+        {"tenants": (TenantConfig(rate=1e-6, burst=2),)},
+        # A deadline that has passed by the time the backlog is flushed.
+        {"default_deadline_ms": 1e-6},
+    ], ids=["quota", "deadline"])
+    def test_unanswered_request_fails_the_workload(self, checkpoint_dir,
+                                                   windows, config):
+        # A shorter stack would no longer line up row for row with the
+        # input, so batch mode raises instead of returning one.
+        service = _gateway(checkpoint_dir, **config)
+        with pytest.raises(GatewayError, match="went unanswered"):
+            service.serve_windows(windows[:6], request_size=1)
+        assert sum(service.report()["shed"].values()) >= 1
+
     def test_cache_can_be_disabled(self, checkpoint_dir, windows):
         service = _gateway(checkpoint_dir, cache_size=0)
         assert service.cache is None
@@ -63,8 +88,6 @@ class TestServeWindows:
             inst, service.loaded.model.encode(windows[:4])[1])
 
     def test_tenants_round_robin(self, checkpoint_dir, windows):
-        from repro.serve import TenantConfig
-
         service = _gateway(checkpoint_dir, tenants=(
             TenantConfig(name="a"), TenantConfig(name="b")))
         service.serve_windows(windows[:6], request_size=1,
@@ -183,6 +206,30 @@ class TestCLI:
         assert code == 0
         admitted = json.loads(report_path.read_text())["admission"]["admitted"]
         assert admitted["heavy"] > 0 and admitted["light"] > 0
+
+    def test_serve_unanswered_request_exits_without_output(
+            self, checkpoint_dir, tmp_path, capsys):
+        output_path = tmp_path / "emb.npz"
+        code = main(["serve", "--checkpoint", str(checkpoint_dir),
+                     "--synthetic", "6", "--tenant", "default:1:1e-6:2",
+                     "--output", str(output_path)])
+        assert code == 1
+        assert not output_path.exists()
+        assert "went unanswered" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["serve", "--checkpoint", "unused", "--queue-windows", "8"],
+        ["swap", "--checkpoint", "unused", "--candidate", "unused"],
+        ["obs", "export", "--checkpoint", "unused"],
+    ], ids=["serve", "swap", "obs"])
+    def test_request_size_above_budget_rejected_at_parsing(self, command,
+                                                           capsys):
+        size = "9" if "--queue-windows" in command else str(
+            GatewayConfig.max_queue_windows + 1)
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--request-size", size])
+        assert excinfo.value.code == 2
+        assert "in-flight budget" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
         ["serve", "--checkpoint", "unused", "--synthetic", "2"],
