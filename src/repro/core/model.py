@@ -3,7 +3,11 @@
 The defining mechanics live in :meth:`TimeDRL.pretraining_losses`:
 
 * the *same* input is passed through the encoder **twice**; dropout
-  randomness makes the two views differ (Eq. 10–11) — no data augmentation;
+  randomness makes the two views differ (Eq. 10–11) — no data augmentation.
+  Both views run as one pass over the batch stacked twice, with the
+  dropout draws of two passes, unless the encoder holds a batch-coupled
+  layer (BatchNorm, the ``resnet`` backbone), whose statistics must stay
+  per view;
 * the timestamp-predictive task reconstructs the (un-masked) patched input
   from each view's timestamp embeddings (Eq. 7–9);
 * the instance-contrastive task aligns each view's [CLS] embedding, passed
@@ -32,6 +36,10 @@ from .pooling import instance_dim, pool_instance
 
 __all__ = ["TimeDRL"]
 
+# Layers whose output row depends on the other rows of the batch: an
+# encoder holding one cannot run both views as one stacked batch.
+_BATCH_COUPLED = (nn.BatchNorm1d,)
+
 
 class TimeDRL(nn.Module):
     """Complete TimeDRL pre-training model."""
@@ -46,6 +54,10 @@ class TimeDRL(nn.Module):
         self.contrastive_head = InstanceContrastiveHead(
             instance_dim(config.pooling, config.d_model, config.num_patches), rng=rng)
         self._augment_rng = np.random.default_rng(config.seed + 2)
+        self._stack_views = not any(isinstance(module, _BATCH_COUPLED)
+                                    for module in self.encoder.modules())
+        # Dropout sites of one encoder pass, per (row shape, training flag).
+        self._dropout_sites: dict[tuple, list] = {}
 
     # ------------------------------------------------------------------
     # Pre-training
@@ -71,9 +83,22 @@ class TimeDRL(nn.Module):
             x_patched = clean_patched
         target = Tensor(clean_patched)
 
-        # Eq. 10–11: two stochastic passes over the same input.
-        z1 = self.encoder(x_patched)
-        z2 = self.encoder(x_patched)
+        # Eq. 10–11: two stochastic passes over the same input, run as one
+        # pass over both views stacked along the batch axis, with the
+        # dropout draws the two passes would take (F.two_view_draws).
+        if self._stack_views:
+            n = x_patched.shape[0]
+            key = (x_patched.shape[1:], self.training)
+            sites = self._dropout_sites.get(key)
+            if sites is None:
+                sites = self._dropout_sites[key] = F.dropout_sites(
+                    self.encoder, x_patched)
+            with F.two_view_draws(sites, n):
+                z = self.encoder(np.concatenate([x_patched, x_patched]))
+            z1, z2 = z[:n], z[n:]
+        else:
+            z1 = self.encoder(x_patched)
+            z2 = self.encoder(x_patched)
         z_i1, z_t1 = self.encoder.split(z1)
         z_i2, z_t2 = self.encoder.split(z2)
 

@@ -25,12 +25,13 @@ lock the two paths together.
 from __future__ import annotations
 
 import contextlib
+import math
 
 import numpy as np
 
 from . import profiler as _prof
 from .erf import erf as _erf
-from .tensor import DEFAULT_DTYPE, Tensor, _make_node, _unbroadcast, as_tensor
+from .tensor import DEFAULT_DTYPE, Tensor, _make_node, _unbroadcast, as_tensor, no_grad
 
 __all__ = [
     "softmax",
@@ -40,6 +41,8 @@ __all__ = [
     "sigmoid",
     "tanh",
     "dropout",
+    "dropout_sites",
+    "two_view_draws",
     "layer_norm",
     "scaled_dot_product_attention",
     "one_hot",
@@ -235,15 +238,138 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True
 
     Dropout is the *only* source of stochasticity TimeDRL uses to create the
     two contrastive views (paper Section IV-C), so the mask RNG is threaded
-    explicitly for reproducibility.
+    explicitly for reproducibility.  One graph node in both dispatch modes:
+    forward ``x * mask``, backward ``grad * mask``.
     """
     if not training or p <= 0.0:
         return x
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    keep = 1.0 - p
-    mask = (rng.random(x.shape) < keep).astype(x.data.dtype) / keep
-    return x * Tensor(mask)
+    mask = _keep_mask(rng, x.shape, 1.0 - p, x.data.dtype)
+    out = _make_node(x.data * mask, (x,))
+    if out.requires_grad:
+
+        def _backward(grad):
+            x._accumulate(grad * mask, owned=True)
+
+        out._backward = _backward
+    return out
+
+
+# ----------------------------------------------------------------------
+# Dropout draws
+# ----------------------------------------------------------------------
+# Where ``dropout`` and the fused attention take their uniform draws.  None
+# draws from the generator each call is given; ``dropout_sites`` and
+# ``two_view_draws`` install a source with a ``draws(rng, shape)`` method
+# instead.  Either way the generator is the one the module holds: no
+# module's ``rng`` attribute is swapped, so a checkpoint
+# (``repro.checkpoint.state.named_rngs``) sees the same generators.
+_DRAWS = None
+
+
+def _keep_mask(rng: np.random.Generator, shape: tuple, keep: float, dtype) -> np.ndarray:
+    """Inverted-dropout mask: ``1 / keep`` where a uniform draw is below
+    ``keep``, else 0."""
+    # The float64 draws die at the compare, before the mask is allocated.
+    if _DRAWS is None:
+        kept = rng.random(shape) < keep
+    else:
+        kept = _DRAWS.draws(rng, shape) < keep
+    mask = kept.reshape(shape).astype(dtype)
+    mask /= keep
+    return mask
+
+
+@contextlib.contextmanager
+def _drawing_from(source):
+    global _DRAWS
+    previous, _DRAWS = _DRAWS, source
+    try:
+        yield
+    finally:
+        _DRAWS = previous
+
+
+class _SiteRecorder:
+    """Records each dropout draw's generator and per-row shape, drawing
+    nothing (every element is kept)."""
+
+    def __init__(self):
+        self.sites: list[tuple[np.random.Generator, tuple[int, ...]]] = []
+
+    def draws(self, rng, shape):
+        self.sites.append((rng, tuple(shape[1:])))
+        return np.zeros(shape)
+
+
+def dropout_sites(forward, x) -> list[tuple[np.random.Generator, tuple[int, ...]]]:
+    """The dropout draws ``forward(x)`` takes, in order, as ``(generator,
+    per-row shape)`` pairs.
+
+    Runs ``forward`` once, without a graph, on the first row of ``x``; no
+    generator is advanced.  Every draw's leading axis must be the batch
+    axis, which :func:`two_view_draws` checks when it uses the sites.
+    """
+    recorder = _SiteRecorder()
+    with no_grad(), _drawing_from(recorder):
+        forward(x[:1])
+    return recorder.sites
+
+
+class _TwoViewDraws:
+    """Uniform draws for one pass over two stacked copies of an ``n``-row
+    batch, equal to those of two passes over it, one after the other.
+
+    Each generator draws one ``(2, V)`` block, ``V`` being what one view's
+    pass takes from it: row ``v`` holds view ``v``'s draws in pass order,
+    so the stream and the generator state afterwards are those of the two
+    passes.  A draw of shape ``(2n, *row)`` is served as a ``(2, n, *row)``
+    view of its columns of the block, without a copy.
+    """
+
+    def __init__(self, sites, n: int):
+        self.n = n
+        per_row: dict[int, int] = {}
+        starts = []
+        for rng, row in sites:
+            starts.append(per_row.get(id(rng), 0))
+            per_row[id(rng)] = starts[-1] + math.prod(row)
+        blocks = {}
+        for rng, __ in sites:
+            if id(rng) not in blocks:
+                blocks[id(rng)] = rng.random((2, n * per_row[id(rng)]))
+        self.pending = [
+            (rng, row, blocks[id(rng)][:, n * start:n * (start + math.prod(row))])
+            for (rng, row), start in zip(reversed(sites), reversed(starts))
+        ]
+
+    def draws(self, rng, shape):
+        if not self.pending:
+            raise RuntimeError(f"unplanned dropout draw of shape {shape} "
+                               f"in a two-view pass")
+        site_rng, row, columns = self.pending.pop()
+        if site_rng is not rng or tuple(shape) != (2 * self.n,) + row:
+            raise RuntimeError(
+                f"dropout draw of shape {shape} does not match the planned "
+                f"{(2 * self.n,) + row} in a two-view pass")
+        return columns.reshape((2, self.n) + row)
+
+
+@contextlib.contextmanager
+def two_view_draws(sites, n: int):
+    """Serve every dropout draw in the block from one ``(2, V)`` draw per
+    generator, for a forward over ``n`` rows stacked twice.
+
+    ``sites`` is :func:`dropout_sites` of the same forward.  Raises
+    ``RuntimeError`` if the pass draws anything else.
+    """
+    source = _TwoViewDraws(sites, n)
+    with _drawing_from(source):
+        yield
+    if source.pending:
+        raise RuntimeError(f"{len(source.pending)} planned dropout draws "
+                           f"were not taken in a two-view pass")
 
 
 # ----------------------------------------------------------------------
@@ -364,8 +490,7 @@ def _sdpa_fused(q, k, v, scale, mask, dropout_p, rng, training) -> Tensor:
     if apply_dropout:
         if not 0.0 <= dropout_p < 1.0:
             raise ValueError(f"dropout probability must be in [0, 1), got {dropout_p}")
-        keep = 1.0 - dropout_p
-        dmask = (rng.random(probs.shape) < keep).astype(probs.dtype) / keep
+        dmask = _keep_mask(rng, probs.shape, 1.0 - dropout_p, probs.dtype)
         dropped = probs * dmask
     else:
         dmask = None

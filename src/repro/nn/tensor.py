@@ -127,6 +127,17 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _is_basic_index(index) -> bool:
+    """Whether ``index`` is NumPy basic indexing (ints, slices, ``None``,
+    ``...``), which selects a view of distinct elements."""
+    parts = index if isinstance(index, tuple) else (index,)
+    return all(
+        part is None or part is Ellipsis or isinstance(part, slice)
+        or (isinstance(part, (int, np.integer)) and not isinstance(part, bool))
+        for part in parts
+    )
+
+
 def as_tensor(value, dtype=None) -> "Tensor":
     """Coerce ``value`` (Tensor, ndarray, scalar, or sequence) to a Tensor."""
     if isinstance(value, Tensor):
@@ -591,10 +602,14 @@ class Tensor:
             index = index.data
         out = self._make(self.data[index], (self,))
         if out.requires_grad:
+            basic = _is_basic_index(index)
 
             def _backward(grad):
                 full = np.zeros_like(self.data)
-                np.add.at(full, index, grad)
+                if basic:  # a view: each element selected at most once
+                    full[index] += grad
+                else:  # fancy indices may repeat an element
+                    np.add.at(full, index, grad)
                 self._accumulate(full, owned=True)
 
             out._backward = _backward

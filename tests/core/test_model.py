@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
+from repro import nn
+from repro.checkpoint.state import named_rngs
 from repro.core import TimeDRL, TimeDRLConfig
+from repro.core.pooling import pool_instance
+from repro.nn import Tensor
+from repro.nn import functional as F
+from repro.nn import tensor as tensor_module
 
 
 def _config(**overrides):
@@ -180,3 +186,115 @@ class TestCollapseResistance:
         embeddings = model.encode(x)[1]
         per_dim_std = embeddings.std(axis=0)
         assert per_dim_std.mean() > 1e-3
+
+
+# The fused ≡ unfused geometries of tests/core/test_encoder_equivalence.py.
+TINY = dict(seq_len=32, input_channels=2, patch_len=8, stride=8,
+            d_model=16, num_heads=2, num_layers=1, seed=0)
+BENCH = dict(seq_len=64, input_channels=7, patch_len=8, stride=8,
+             d_model=64, num_heads=4, num_layers=2, seed=0)
+
+
+def _two_pass_losses(model, x):
+    """Reference step: one encoder pass per dropout view, each view drawing
+    its masks as it runs (default config: no augmentation, both tasks,
+    stop-gradient, [CLS] pooling)."""
+    x_patched = model.encoder.prepare_input(x)
+    target = Tensor(x_patched)
+    z_i1, z_t1 = model.encoder.split(model.encoder(x_patched))
+    z_i2, z_t2 = model.encoder.split(model.encoder(x_patched))
+    predictive = (nn.mse_loss(model.predictive_head(z_t1), target) * 0.5
+                  + nn.mse_loss(model.predictive_head(z_t2), target) * 0.5)
+    inst1 = pool_instance(z_i1, z_t1, model.config.pooling)
+    inst2 = pool_instance(z_i2, z_t2, model.config.pooling)
+    contrastive = (
+        nn.negative_cosine_similarity(model.contrastive_head(inst1), inst2) * 0.5
+        + nn.negative_cosine_similarity(model.contrastive_head(inst2), inst1) * 0.5)
+    total = predictive + contrastive * model.config.lambda_weight
+    return {"total": total, "predictive": predictive, "contrastive": contrastive}
+
+
+def _pair(geometry, backbone):
+    config = TimeDRLConfig(**geometry, backbone=backbone, dropout=0.2)
+    return TimeDRL(config), TimeDRL(config)
+
+
+def _windows(geometry, n, seed=7):
+    return np.random.default_rng(seed).standard_normal(
+        (n, geometry["seq_len"], geometry["input_channels"])).astype(np.float32)
+
+
+def _losses(out):
+    return {key: value.data.tobytes() for key, value in out.items()}
+
+
+_CASES = [(TINY, 4), (BENCH, 32)]
+_CASE_IDS = ["tiny", "bench"]
+
+
+class TestOnePassStreamIdentity:
+    """Both views run as one stacked encoder pass; its dropout stream must
+    be the one two passes draw."""
+
+    @pytest.mark.parametrize("backbone", ["transformer", "tcn", "lstm"])
+    @pytest.mark.parametrize("geometry,batch", _CASES, ids=_CASE_IDS)
+    def test_generator_state_after_each_step_equals_two_passes(
+            self, geometry, batch, backbone):
+        stacked, reference = _pair(geometry, backbone)
+        assert stacked._stack_views
+        # A full batch, then a short one (an epoch's last batch).
+        for n in (batch, batch - 1):
+            x = _windows(geometry, n)
+            stacked.pretraining_losses(x)["total"].backward()
+            _two_pass_losses(reference, x)["total"].backward()
+            live = {name: rng.bit_generator.state for name, rng in named_rngs(stacked)}
+            ref = {name: rng.bit_generator.state for name, rng in named_rngs(reference)}
+            assert live == ref
+
+    @pytest.mark.parametrize("backbone", ["transformer", "tcn", "lstm"])
+    @pytest.mark.parametrize("geometry,batch", _CASES, ids=_CASE_IDS)
+    def test_first_step_losses_bit_identical_with_per_window_gemms(
+            self, monkeypatch, geometry, batch, backbone):
+        # Per-window GEMMs are row-invariant, so stacking the views may not
+        # move a single bit of the forward.
+        monkeypatch.setattr(tensor_module, "_COLLAPSE_GEMMS", False)
+        stacked, reference = _pair(geometry, backbone)
+        x = _windows(geometry, batch)
+        assert (_losses(stacked.pretraining_losses(x))
+                == _losses(_two_pass_losses(reference, x)))
+
+    @pytest.mark.parametrize("geometry,batch", _CASES, ids=_CASE_IDS)
+    def test_resnet_keeps_one_pass_per_view(self, geometry, batch):
+        # BatchNorm statistics are per batch: each view needs its own pass.
+        stacked, reference = _pair(geometry, "resnet")
+        assert not stacked._stack_views
+        x = _windows(geometry, batch)
+        assert (_losses(stacked.pretraining_losses(x))
+                == _losses(_two_pass_losses(reference, x)))
+        assert ({name: rng.bit_generator.state for name, rng in named_rngs(stacked)}
+                == {name: rng.bit_generator.state for name, rng in named_rngs(reference)})
+
+    def test_views_differ(self):
+        model = TimeDRL(_config())
+        x_patched = model.encoder.prepare_input(_batch(n=4))
+        sites = F.dropout_sites(model.encoder, x_patched)
+        with F.two_view_draws(sites, 4):
+            z = model.encoder(np.concatenate([x_patched, x_patched])).data
+        assert not np.array_equal(z[:4], z[4:])
+
+    def test_unplanned_draw_raises(self):
+        model = TimeDRL(_config())
+        x_patched = model.encoder.prepare_input(_batch(n=4))
+        sites = F.dropout_sites(model.encoder, x_patched)
+        with pytest.raises(RuntimeError, match="does not match"):
+            with F.two_view_draws(sites, 4):
+                model.encoder(np.concatenate([x_patched] * 3))
+
+    def test_untaken_draws_raise(self):
+        model = TimeDRL(_config())
+        x_patched = model.encoder.prepare_input(_batch(n=4))
+        sites = F.dropout_sites(model.encoder, x_patched)
+        model.eval()
+        with pytest.raises(RuntimeError, match="not taken"):
+            with F.two_view_draws(sites, 4):
+                model.encoder(np.concatenate([x_patched] * 2))

@@ -261,6 +261,38 @@ class TestShapeOps:
         cols = np.array([1, 0, 3])
         check_gradients(lambda ts: (ts[0][rows, cols] ** 2).sum(), [(3, 4)])
 
+    @pytest.mark.parametrize("index", [
+        (slice(None), 0, slice(None)),
+        (slice(None), slice(1, None), slice(None)),
+        1,
+        np.int64(-1),
+        (Ellipsis, 2),
+        (None, slice(None, None, -1)),
+        (slice(0, 4, 2), None, 3),
+        (1, 2, 3),
+        np.array([0, 2, 2]),
+        (np.array([0, 1, 1]), np.array([4, 4, 0])),
+        (slice(None), [1, 1, 3]),
+        np.arange(120).reshape(4, 5, 6) % 3 == 0,
+    ], ids=["int_mid", "token_slice", "int", "np_int", "ellipsis", "newaxis_reversed",
+            "step_newaxis_int", "scalar", "fancy_repeats", "fancy_pair", "mixed_list",
+            "bool_mask"])
+    def test_getitem_backward_bytes_match_add_at(self, index):
+        """Basic indices scatter with an in-place add, fancy ones with
+        ``np.add.at``; the gradient bytes are ``np.add.at``'s either way,
+        and a ``-0.0`` upstream gradient lands as ``+0.0``."""
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((4, 5, 6)).astype(np.float32), requires_grad=True)
+        out = x[index]
+        seed = rng.standard_normal(out.shape).astype(np.float32)
+        seed.reshape(-1)[::2] = -0.0
+        out.backward(seed)
+        expected = np.zeros_like(x.data)
+        np.add.at(expected, index, seed)
+        assert x.grad.dtype == expected.dtype
+        assert x.grad.tobytes() == expected.tobytes()
+        assert not np.signbit(x.grad[x.grad == 0]).any()
+
     def test_getitem_tensor_index(self):
         t = Tensor(np.arange(6.0).reshape(2, 3))
         idx = Tensor(np.array([1, 0]))
