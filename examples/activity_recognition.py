@@ -19,7 +19,7 @@ from repro.core import (
     linear_evaluate_classification,
 )
 from repro.data import load_classification_dataset, make_classification_data
-from repro.train import TrainOptions, pretrain
+from repro.train import TrainOptions, TrainSession
 
 
 def main() -> None:
@@ -43,7 +43,7 @@ def main() -> None:
             channel_independence=False,  # the paper's classification setting
             seed=0,
         )
-        outcome = pretrain(config, data.x_train, TrainOptions(
+        outcome = TrainSession(config).pretrain(data.x_train, TrainOptions(
             pretrain=PretrainConfig(epochs=3, batch_size=32, seed=0)))
         scores = linear_evaluate_classification(outcome.model, data, epochs=100)
         results[pooling] = scores

@@ -16,7 +16,7 @@ import numpy as np
 from repro import nn
 from repro.core import PretrainConfig, TimeDRLConfig
 from repro.data import load_forecasting_dataset, make_forecasting_data
-from repro.train import TrainOptions, pretrain
+from repro.train import TrainOptions, TrainSession
 
 
 def reconstruction_errors(model, x: np.ndarray) -> np.ndarray:
@@ -46,7 +46,7 @@ def main() -> None:
     config = TimeDRLConfig(seq_len=64, input_channels=7, patch_len=8, stride=8,
                            d_model=32, num_heads=4, num_layers=2,
                            channel_independence=True, seed=2)
-    model = pretrain(config, data.train, TrainOptions(
+    model = TrainSession(config).pretrain(data.train, TrainOptions(
         pretrain=PretrainConfig(epochs=3, batch_size=32, seed=2))).model
 
     # Take clean test windows and inject one anomalous patch per window.

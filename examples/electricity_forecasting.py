@@ -12,7 +12,7 @@ Run:  python examples/electricity_forecasting.py
 
 from repro.core import PretrainConfig, TimeDRL, TimeDRLConfig
 from repro.data import load_forecasting_dataset, make_forecasting_data
-from repro.train import TrainOptions, fine_tune_forecasting, pretrain
+from repro.train import TrainOptions, TrainSession
 
 
 def main() -> None:
@@ -23,7 +23,7 @@ def main() -> None:
                            channel_independence=True, seed=1)
 
     # Pre-train once on ALL unlabeled windows.
-    pretrained = pretrain(config, data.train, TrainOptions(
+    pretrained = TrainSession(config).pretrain(data.train, TrainOptions(
         pretrain=PretrainConfig(epochs=3, batch_size=32, seed=1))).model
     state = pretrained.state_dict()
 
@@ -32,11 +32,13 @@ def main() -> None:
     for fraction in (0.1, 0.5, 1.0):
         supervised_model = TimeDRL(config)  # random init
         options = TrainOptions(label_fraction=fraction, epochs=3, seed=1)
-        supervised = fine_tune_forecasting(supervised_model, data, options)
+        supervised = TrainSession(config, model=supervised_model).finetune(
+            data, options=options)
 
         finetuned_model = TimeDRL(config)
         finetuned_model.load_state_dict(state)  # warm start from pre-training
-        finetuned = fine_tune_forecasting(finetuned_model, data, options)
+        finetuned = TrainSession(config, model=finetuned_model).finetune(
+            data, options=options)
         print(f"{fraction:>7.0%} | {supervised.mse:>15.4f} | {finetuned.mse:>17.4f}")
 
     print("\nThe gap should widen as the label fraction shrinks (paper Fig. 5).")

@@ -17,7 +17,7 @@ import numpy as np
 from repro.core import (PretrainConfig, TimeDRLConfig,
                         linear_evaluate_forecasting)
 from repro.data import load_forecasting_dataset, make_forecasting_data
-from repro.train import TrainOptions, pretrain
+from repro.train import TrainOptions, TrainSession
 
 
 def main() -> None:
@@ -45,7 +45,7 @@ def main() -> None:
         lambda_weight=1.0,      # L = L_P + lambda * L_C (Eq. 19)
         channel_independence=True,  # the paper's forecasting setting
     )
-    result = pretrain(config, data.train, TrainOptions(
+    result = TrainSession(config).pretrain(data.train, TrainOptions(
         pretrain=PretrainConfig(epochs=3, batch_size=32, verbose=True)))
     print(f"pre-trained in {result.wall_clock_seconds:.1f}s, "
           f"final loss {result.final_loss:.4f}")

@@ -13,7 +13,7 @@ Run:  python examples/transfer_learning.py
 
 from repro.core import PretrainConfig, TimeDRLConfig
 from repro.data import load_forecasting_dataset, make_forecasting_data
-from repro.train import TrainOptions, transfer_forecasting
+from repro.train import TrainOptions, TrainSession
 
 
 def main() -> None:
@@ -31,8 +31,8 @@ def main() -> None:
         info_scale = 0.08 if target_name.startswith("ETT") else 0.15
         target_series = load_forecasting_dataset(target_name, scale=info_scale, seed=1)
         target = make_forecasting_data(target_series, seq_len=64, pred_len=24, stride=4)
-        result = transfer_forecasting(config, source, target,
-                                      TrainOptions(pretrain=train_config))
+        result = TrainSession(config).transfer(
+            source, target, TrainOptions(pretrain=train_config))
         spread = result.random_mse - result.in_domain_mse
         kept = f"{result.transfer_gap:4.0%}" if spread > 1e-3 else "   —"
         print(f"{target_name:>10} | {result.random_mse:8.4f} | "

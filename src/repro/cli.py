@@ -72,34 +72,22 @@ def _checkpoint_from_args(args):
                             resume=resume)
 
 
-def _runtime_from_args(args):
-    """Fold the CLI's runtime flags into the shared RuntimeOptions bundle
-    every driver accepts (telemetry run creation stays in ``main``, which
-    owns the Run object's lifecycle)."""
-    from .core import RuntimeOptions
-
-    return RuntimeOptions(
-        telemetry=bool(getattr(args, "telemetry", False)),
-        run_root=str(getattr(args, "run_root", _DEFAULT_RUN_ROOT)),
-        checkpoint=_checkpoint_from_args(args))
-
-
 def _run_table3(args, preset, run=NULL_RUN):
     return forecasting_table(datasets=tuple(args.datasets or _FORECAST_DATASETS),
                              univariate=False, preset=preset, seed=args.seed,
-                             run=run, runtime=_runtime_from_args(args))
+                             run=run, checkpoint=_checkpoint_from_args(args))
 
 
 def _run_table4(args, preset, run=NULL_RUN):
     return forecasting_table(datasets=tuple(args.datasets or _FORECAST_DATASETS),
                              univariate=True, preset=preset, seed=args.seed,
-                             run=run, runtime=_runtime_from_args(args))
+                             run=run, checkpoint=_checkpoint_from_args(args))
 
 
 def _run_table5(args, preset, run=NULL_RUN):
     return classification_table(datasets=tuple(args.datasets or _CLASS_DATASETS),
                                 preset=preset, seed=args.seed, run=run,
-                                runtime=_runtime_from_args(args))
+                                checkpoint=_checkpoint_from_args(args))
 
 
 def _run_table6(args, preset, run=NULL_RUN):
@@ -325,25 +313,34 @@ def _run_compile(args) -> int:
 # ----------------------------------------------------------------------
 # ``repro pretrain|finetune|transfer`` — the unified training driver
 # ----------------------------------------------------------------------
+def _add_run_flags(parser, what: str) -> None:
+    """``--telemetry``/``--run-root``, spelled once for every subcommand
+    that can record a telemetry run (``what`` names it in the help)."""
+    parser.add_argument("--telemetry", action="store_true",
+                        help=f"record the {what} as a telemetry run")
+    parser.add_argument("--run-root", type=pathlib.Path,
+                        default=_DEFAULT_RUN_ROOT,
+                        help="where --telemetry writes the run directory")
+
+
+def _add_checkpoint_flags(parser, what: str = "training state") -> None:
+    """``--checkpoint``/``--resume``, read by :func:`_checkpoint_from_args`."""
+    parser.add_argument("--checkpoint", type=pathlib.Path, default=None,
+                        metavar="DIR", help=f"checkpoint {what} under DIR")
+    parser.add_argument("--resume", action="store_true",
+                        help="resume from the newest valid checkpoint "
+                             "under --checkpoint")
+
+
 def _add_training_flags(parser, workers_help="data-parallel pre-training "
                                              "workers (1 = in-process)"):
     """The normalized training flag set.
 
     Every training-capable subcommand (``pretrain``, ``finetune``,
     ``transfer``) spells and defaults these identically — locked by
-    ``tests/train/test_cli_flags.py``.  ``serve`` shares the
-    ``--telemetry``/``--run-root`` pair."""
-    parser.add_argument("--checkpoint", type=pathlib.Path, default=None,
-                        metavar="DIR",
-                        help="checkpoint training state under DIR")
-    parser.add_argument("--resume", action="store_true",
-                        help="resume from the newest valid checkpoint "
-                             "under --checkpoint")
-    parser.add_argument("--telemetry", action="store_true",
-                        help="record the session as a telemetry run")
-    parser.add_argument("--run-root", type=pathlib.Path,
-                        default=_DEFAULT_RUN_ROOT,
-                        help="where --telemetry writes the run directory")
+    ``tests/train/test_cli_flags.py``."""
+    _add_checkpoint_flags(parser)
+    _add_run_flags(parser, "session")
     parser.add_argument("--prefetch", action="store_true",
                         help="stage batches through a background prefetch "
                              "loader")
@@ -1380,10 +1377,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write embeddings/predictions to this .npz")
     serve.add_argument("--report", type=pathlib.Path, default=None,
                        help="write the JSON latency report here")
-    serve.add_argument("--telemetry", action="store_true",
-                       help="record the serving session as a telemetry run")
-    serve.add_argument("--run-root", type=pathlib.Path,
-                       default=_DEFAULT_RUN_ROOT)
+    _add_run_flags(serve, "serving session")
     serve.add_argument("--obs", action="store_true",
                        help="collect metrics/traces into the process "
                             "observability registry while serving")
@@ -1432,11 +1426,7 @@ def build_parser() -> argparse.ArgumentParser:
     swap.add_argument("--seed", type=int, default=0)
     swap.add_argument("--report", type=pathlib.Path, default=None,
                       help="write the JSON swap report here")
-    swap.add_argument("--telemetry", action="store_true",
-                      help="record the swap as a telemetry run "
-                           "(swap/swap_shadow events)")
-    swap.add_argument("--run-root", type=pathlib.Path,
-                      default=_DEFAULT_RUN_ROOT)
+    _add_run_flags(swap, "swap (swap/swap_shadow events)")
 
     obs_parser = sub.add_parser(
         "obs", help="observability: metrics snapshot, Prometheus/JSON "
@@ -1557,21 +1547,10 @@ def build_parser() -> argparse.ArgumentParser:
         exp.add_argument("--seed", type=int, default=0)
         exp.add_argument("--output", type=pathlib.Path, default=None,
                          help="directory to write markdown tables into")
-        exp.add_argument("--telemetry", action="store_true",
-                         help="record the experiment as a run under "
-                              "results/runs (manifest + events + metrics)")
-        exp.add_argument("--run-root", type=pathlib.Path,
-                         default=_DEFAULT_RUN_ROOT,
-                         help="where --telemetry writes the run directory")
+        _add_run_flags(exp, "experiment")
         if name in ("table3", "table4", "table5"):
-            exp.add_argument("--checkpoint", type=pathlib.Path, default=None,
-                             metavar="DIR",
-                             help="checkpoint TimeDRL pre-training under DIR "
-                                  "(one subdirectory per dataset)")
-            exp.add_argument("--resume", action="store_true",
-                             help="resume TimeDRL pre-training from the "
-                                  "newest valid checkpoint under the "
-                                  "--checkpoint directory")
+            _add_checkpoint_flags(exp, "TimeDRL pre-training (one "
+                                       "subdirectory per dataset)")
     return parser
 
 

@@ -1,7 +1,7 @@
 """``repro.core`` — the TimeDRL model, pretext tasks and downstream protocols."""
 
 from .anomaly import AnomalyDetector, AnomalyResult
-from .config import PretrainConfig, RuntimeOptions, TimeDRLConfig, resolve_runtime
+from .config import PretrainConfig, TimeDRLConfig
 from .encoder import TimeDRLEncoder, build_backbone
 from .finetune import (
     ClassificationResult,
@@ -30,7 +30,7 @@ from .pretrain import PretrainResult, iterate_pretrain_batches, run_pretrain
 from .transfer import TransferResult, run_transfer
 
 __all__ = [
-    "TimeDRLConfig", "PretrainConfig", "RuntimeOptions", "resolve_runtime",
+    "TimeDRLConfig", "PretrainConfig",
     "AnomalyDetector", "AnomalyResult",
     "TimeDRL", "TimeDRLEncoder", "build_backbone",
     "TimestampPredictiveHead", "InstanceContrastiveHead",

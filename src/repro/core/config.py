@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 from ..checkpoint.config import CheckpointConfig
 
-__all__ = ["TimeDRLConfig", "PretrainConfig", "RuntimeOptions",
-           "resolve_runtime"]
+__all__ = ["TimeDRLConfig", "PretrainConfig"]
 
 
 def _coerce_checkpoint(value) -> CheckpointConfig | None:
@@ -23,48 +22,6 @@ def _coerce_checkpoint(value) -> CheckpointConfig | None:
     raise ValueError("checkpoint must be None, True, a dict, or a "
                      "CheckpointConfig")
 
-
-@dataclass
-class RuntimeOptions:
-    """Cross-cutting runtime wiring, shared by every driver.
-
-    Pre-training, fine-tuning, transfer and the table drivers each used
-    to re-declare the same ``telemetry=`` / ``checkpoint=`` / ``profile=``
-    plumbing; this dataclass is the one bundle they all accept (as
-    ``runtime=``).  The old per-driver kwargs keep working — when
-    ``runtime`` is given it is authoritative for its fields.
-    """
-
-    verbose: bool = False
-    profile: bool = False        # collect op-level stats via repro.nn.profiler
-    telemetry: bool = False      # open a run directory and record events
-    run_root: str = "results/runs"
-    run_name: str | None = None  # human label folded into the run id
-    log_every: int = 1           # per-step metric cadence (0 = epochs only)
-    checkpoint: CheckpointConfig | None = None
-
-    def __post_init__(self):
-        if self.log_every < 0:
-            raise ValueError("log_every must be >= 0")
-        self.checkpoint = _coerce_checkpoint(self.checkpoint)
-
-
-def resolve_runtime(runtime: RuntimeOptions | dict | None, *,
-                    verbose: bool = False, profile: bool = False,
-                    checkpoint: CheckpointConfig | None = None
-                    ) -> RuntimeOptions:
-    """Fold a driver's legacy kwargs and a bundled ``runtime`` into one.
-
-    The legacy per-driver kwargs (``profile=``, ``checkpoint=``, …) are
-    only consulted when ``runtime`` is omitted; a given ``runtime`` is
-    authoritative.  Dicts are accepted for JSON round-trips.
-    """
-    if runtime is None:
-        return RuntimeOptions(verbose=verbose, profile=profile,
-                              checkpoint=checkpoint)
-    if isinstance(runtime, dict):
-        return RuntimeOptions(**runtime)
-    return runtime
 
 _BACKBONES = ("transformer", "transformer_decoder", "resnet", "tcn", "lstm", "bilstm", "gru")
 _POOLINGS = ("cls", "last", "gap", "all")
@@ -133,9 +90,10 @@ class PretrainConfig:
     bit-identical to an uninstrumented loop and the overhead is a strict
     no-op (see ``tests/core/test_encoder_equivalence.py``).
 
-    The runtime fields (``verbose`` … ``checkpoint``) can also be passed
-    bundled as ``runtime=RuntimeOptions(...)`` — the shared wiring every
-    driver accepts; when given it overrides the individual fields.
+    The run-wiring fields (``prefetch``, ``verbose`` … ``checkpoint``) are
+    read by every phase a :class:`repro.train.TrainSession` drives,
+    fine-tuning and transfer included; the ``TrainOptions`` override
+    fields take precedence over them.
     """
 
     epochs: int = 10
@@ -163,35 +121,15 @@ class PretrainConfig:
     # Accepts a CheckpointConfig, True (defaults), or a dict of its fields
     # (how it round-trips through JSON run manifests).
     checkpoint: CheckpointConfig | None = None
-    # Bundled runtime wiring; folded into the fields above and not stored
-    # (InitVar), so manifest round-trips see only the flat fields.
-    runtime: InitVar[RuntimeOptions | dict | None] = None
 
-    def __post_init__(self, runtime: RuntimeOptions | dict | None = None):
+    def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.prefetch_depth < 1:
             raise ValueError("prefetch_depth must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if isinstance(runtime, dict):
-            runtime = RuntimeOptions(**runtime)
-        if runtime is not None:
-            self.verbose = runtime.verbose
-            self.profile = runtime.profile
-            self.telemetry = runtime.telemetry
-            self.run_root = runtime.run_root
-            self.run_name = runtime.run_name
-            self.log_every = runtime.log_every
-            self.checkpoint = runtime.checkpoint
         if self.log_every < 0:
             raise ValueError("log_every must be >= 0")
         self.checkpoint = _coerce_checkpoint(self.checkpoint)
 
-    @property
-    def runtime_options(self) -> RuntimeOptions:
-        """The runtime wiring of this config as the shared bundle."""
-        return RuntimeOptions(verbose=self.verbose, profile=self.profile,
-                              telemetry=self.telemetry, run_root=self.run_root,
-                              run_name=self.run_name, log_every=self.log_every,
-                              checkpoint=self.checkpoint)

@@ -44,9 +44,8 @@ from ..nn import profiler as _profiler
 from ..obs.metrics import enabled as _obs_enabled
 from ..obs.metrics import get_registry as _obs_registry
 from ..telemetry import NULL_RUN
-from .config import RuntimeOptions, resolve_runtime
 from .model import TimeDRL
-from .pooling import instance_dim
+from .pooling import instance_dim, pool_instance
 
 __all__ = [
     "ForecastResult",
@@ -193,11 +192,16 @@ class _OptimizerPair:
 
 def _finetune_checkpoint_dir(checkpoint: CheckpointConfig, run,
                              task: str) -> pathlib.Path:
+    """``<base>/<task>``: a session reuses one checkpoint config for
+    pre-training and fine-tuning, and the two must not share (or prune)
+    each other's checkpoints."""
     if checkpoint.directory:
-        return pathlib.Path(checkpoint.directory)
-    if getattr(run, "directory", None):
-        return pathlib.Path(run.directory) / "checkpoints" / task
-    return pathlib.Path("results/checkpoints") / task
+        base = pathlib.Path(checkpoint.directory)
+    elif getattr(run, "directory", None):
+        base = pathlib.Path(run.directory) / "checkpoints"
+    else:
+        base = pathlib.Path("results/checkpoints")
+    return base / task
 
 
 def _finetune_checkpointing(checkpoint: CheckpointConfig | None, run, task,
@@ -222,17 +226,6 @@ def _finetune_checkpointing(checkpoint: CheckpointConfig | None, run, task,
             restore_state(state, bundle, optimizer=pair, loader_rng=rng)
             start_epoch = state.epoch
     return manager, start_epoch
-
-
-def _finetune_save(manager, run, task: str, bundle, pair, rng,
-                   epoch: int, mean_loss: float) -> None:
-    state = capture_state(bundle, pair, loader_rng_state=rng_state(rng),
-                          epoch=epoch + 1, global_step=epoch + 1)
-    info = manager.save(state, metrics={"loss": mean_loss})
-    if run.enabled:
-        run.emit("checkpoint", action="saved", phase=task, step=info.step,
-                 epoch=epoch + 1, file=info.path.name, sha256=info.sha256,
-                 size_bytes=info.size_bytes, best=info.is_best)
 
 
 class ForecastHead(nn.Module):
@@ -275,18 +268,85 @@ def _obs_epoch(task: str, batches: int, seconds: float,
                        "Most recent epoch's mean total loss").set(mean_loss)
 
 
-def _labelled_batches(fetch, labelled: np.ndarray, batch_size: int,
-                      rng: np.random.Generator, use_prefetch: bool):
-    """One fine-tuning epoch's ``(x, y)`` batches, optionally staged
-    through the background prefetch loader (same FIFO order either way).
-    Consume under :func:`contextlib.closing` so an abandoned epoch joins
-    the worker thread."""
+def _finetune(model: TimeDRL, head: nn.Module, task: str, n_train: int,
+              fetch, batch_loss, rng: np.random.Generator, *,
+              label_fraction: float, epochs: int, batch_size: int, lr: float,
+              encoder_lr_scale: float, prefetch: bool, run,
+              checkpoint: CheckpointConfig | None, profile: bool):
+    """The one fine-tuning loop (Fig. 5), shared by both task families.
 
-    def generate():
+    It owns the head/encoder optimizer pair, checkpoint/resume and saves,
+    the epoch spans, prefetch (same batch order either way), the obs and
+    run metrics and the profiler.  The task supplies the ``head`` (already
+    drawn from ``rng``), ``fetch(indices) -> (x, y)`` over its ``n_train``
+    training samples and ``batch_loss(x, y) -> Tensor``.  The labelled
+    subset is drawn from ``rng`` after the head, then every epoch's batch
+    order.  Leaves the model in eval mode and returns the profiler
+    snapshot (``None`` unless ``profile``).
+    """
+    phase = f"finetune_{task}"
+    model.train()
+    params = model.encoder.parameters() + head.parameters()
+    optimizer = nn.AdamW(head.parameters(), lr=lr, weight_decay=1e-3)
+    encoder_optimizer = nn.AdamW(model.encoder.parameters(),
+                                 lr=lr * encoder_lr_scale, weight_decay=1e-3)
+    labelled = _label_subset(n_train, label_fraction, rng)
+    bundle = _CheckpointBundle(model, head)
+    pair = _OptimizerPair(optimizer, encoder_optimizer)
+    manager, start_epoch = _finetune_checkpointing(
+        checkpoint, run, phase, bundle, pair, rng)
+    obs_on = _obs_enabled()
+    track_loss = run.enabled or manager is not None or obs_on
+
+    def epoch_batches():
         for batch in batch_indices(len(labelled), batch_size, rng):
             yield fetch(labelled[batch])
 
-    return _prefetch_batches(generate(), enabled=use_prefetch)
+    if profile:
+        _profiler.enable()
+    for epoch in range(start_epoch, epochs):
+        loss_sum, loss_batches = 0.0, 0
+        epoch_started = time.perf_counter() if obs_on else 0.0
+        # closing() joins the prefetch worker of an abandoned epoch.
+        with run.span("finetune_epoch", task=task, index=epoch), \
+                closing(_prefetch_batches(epoch_batches(),
+                                          enabled=prefetch)) as batches:
+            for x, y in batches:
+                optimizer.zero_grad()
+                encoder_optimizer.zero_grad()
+                loss = batch_loss(x, y)
+                loss.backward()
+                grad_norm = nn.clip_grad_norm(params, 5.0)
+                optimizer.step()
+                encoder_optimizer.step()
+                if track_loss:
+                    loss_sum += float(loss.data)
+                    loss_batches += 1
+        mean_loss = loss_sum / loss_batches if loss_batches else None
+        if obs_on:
+            _obs_epoch(phase, loss_batches, time.perf_counter() - epoch_started,
+                       mean_loss)
+        if run.enabled and mean_loss is not None:
+            run.log_epoch(epoch, loss=mean_loss, grad_norm=grad_norm,
+                          task=phase)
+        if manager is not None and ((epoch + 1) % checkpoint.every_n_epochs == 0
+                                    or epoch + 1 == epochs):
+            info = manager.save(
+                capture_state(bundle, pair, loader_rng_state=rng_state(rng),
+                              epoch=epoch + 1, global_step=epoch + 1),
+                metrics={"loss": float("nan") if mean_loss is None
+                         else mean_loss})
+            if run.enabled:
+                run.emit("checkpoint", action="saved", phase=phase,
+                         step=info.step, epoch=epoch + 1, file=info.path.name,
+                         sha256=info.sha256, size_bytes=info.size_bytes,
+                         best=info.is_best)
+    profile_stats = None
+    if profile:
+        _profiler.disable()
+        profile_stats = _profiler.snapshot()
+    model.eval()
+    return profile_stats
 
 
 def run_finetune_forecasting(model: TimeDRL, data: ForecastingData,
@@ -296,8 +356,7 @@ def run_finetune_forecasting(model: TimeDRL, data: ForecastingData,
                              seed: int = 0, profile: bool = False,
                              prefetch: bool = False,
                              run=None,
-                             checkpoint: CheckpointConfig | None = None,
-                             runtime: RuntimeOptions | None = None
+                             checkpoint: CheckpointConfig | None = None
                              ) -> ForecastResult:
     """Fig. 5 'TimeDRL (FT)': encoder + head trained on labelled windows.
 
@@ -315,104 +374,49 @@ def run_finetune_forecasting(model: TimeDRL, data: ForecastingData,
     epoch boundaries (and with ``resume=True`` restarts from the newest
     valid checkpoint, bit-identically at epoch granularity).
 
-    ``runtime`` bundles the shared wiring (:class:`RuntimeOptions`); when
-    given it is authoritative over the legacy ``profile=``/``checkpoint=``
-    kwargs.
-
     ``prefetch=True`` stages each epoch's labelled batches through the
     background :class:`~repro.data.prefetch.PrefetchLoader`; batch order
     and contents — and therefore the trajectory — are unchanged.
     """
-    opts = resolve_runtime(runtime, profile=profile, checkpoint=checkpoint)
-    profile, checkpoint = opts.profile, opts.checkpoint
     run = NULL_RUN if run is None else run
     rng = np.random.default_rng(seed)
     config = model.config
     flat_width = config.num_patches * config.d_model
     head = ForecastHead(flat_width, data.pred_len, rng=rng)
-    model.train()
-    params = model.encoder.parameters() + head.parameters()
-    optimizer = nn.AdamW(head.parameters(), lr=lr, weight_decay=1e-3)
-    encoder_optimizer = nn.AdamW(model.encoder.parameters(),
-                                 lr=lr * encoder_lr_scale, weight_decay=1e-3)
-    labelled = _label_subset(len(data.train), label_fraction, rng)
-    bundle = _CheckpointBundle(model, head)
-    pair = _OptimizerPair(optimizer, encoder_optimizer)
-    manager, start_epoch = _finetune_checkpointing(
-        checkpoint, run, "finetune_forecasting", bundle, pair, rng)
-    obs_on = _obs_enabled()
-    track_loss = run.enabled or manager is not None or obs_on
 
-    if profile:
-        _profiler.enable()
-    for epoch in range(start_epoch, epochs):
-        loss_sum, loss_batches = 0.0, 0
-        epoch_started = time.perf_counter() if obs_on else 0.0
-        with run.span("finetune_epoch", task="forecasting", index=epoch), \
-                closing(_labelled_batches(data.train.batch, labelled,
-                                          batch_size, rng, prefetch)) as batches:
-            for x, y in batches:
-                mean, std = _window_stats(x)
-                target_norm = (y - mean) / std
-                x_patched = model.encoder.prepare_input(x)
-                optimizer.zero_grad()
-                encoder_optimizer.zero_grad()
-                z = model.encoder(x_patched)
-                __, z_t = model.encoder.split(z)
-                if config.channel_independence:
-                    batch_n, channels = x.shape[0], x.shape[2]
-                    flat = z_t.reshape(batch_n * channels, flat_width)
-                    pred = head(flat).reshape(batch_n, channels, data.pred_len)
-                    pred = pred.transpose(0, 2, 1)
-                else:
-                    pred = head(z_t.reshape(x.shape[0], flat_width))
-                    pred = pred.reshape(x.shape[0], data.pred_len, -1)
-                    if pred.shape[2] == 1 and target_norm.shape[2] > 1:
-                        raise ValueError("channel-mixing head horizon mismatch")
-                loss = nn.mse_loss(pred, Tensor(target_norm))
-                loss.backward()
-                grad_norm = nn.clip_grad_norm(params, 5.0)
-                optimizer.step()
-                encoder_optimizer.step()
-                if track_loss:
-                    loss_sum += float(loss.data)
-                    loss_batches += 1
-        if obs_on:
-            _obs_epoch("finetune_forecasting", loss_batches,
-                       time.perf_counter() - epoch_started,
-                       loss_sum / loss_batches if loss_batches else None)
-        if run.enabled and loss_batches:
-            run.log_epoch(epoch, loss=loss_sum / loss_batches,
-                          grad_norm=grad_norm, task="finetune_forecasting")
-        if manager is not None and ((epoch + 1) % checkpoint.every_n_epochs == 0
-                                    or epoch + 1 == epochs):
-            mean_loss = loss_sum / loss_batches if loss_batches else float("nan")
-            _finetune_save(manager, run, "finetune_forecasting", bundle, pair,
-                           rng, epoch, mean_loss)
-    profile_stats = None
-    if profile:
-        _profiler.disable()
-        profile_stats = _profiler.snapshot()
+    def forecast(x: np.ndarray) -> Tensor:
+        """Instance-normalised horizon prediction ``(B, pred_len, C)``."""
+        __, z_t = model.encoder.split(
+            model.encoder(model.encoder.prepare_input(x)))
+        if config.channel_independence:
+            batch_n, channels = x.shape[0], x.shape[2]
+            pred = head(z_t.reshape(batch_n * channels, flat_width))
+            return pred.reshape(batch_n, channels,
+                                data.pred_len).transpose(0, 2, 1)
+        pred = head(z_t.reshape(x.shape[0], flat_width))
+        return pred.reshape(x.shape[0], data.pred_len, -1)
 
-    model.eval()
+    def batch_loss(x: np.ndarray, y: np.ndarray) -> Tensor:
+        mean, std = _window_stats(x)
+        target_norm = (y - mean) / std
+        pred = forecast(x)
+        if pred.shape[2] == 1 and target_norm.shape[2] > 1:
+            raise ValueError("channel-mixing head horizon mismatch")
+        return nn.mse_loss(pred, Tensor(target_norm))
+
+    profile_stats = _finetune(
+        model, head, "forecasting", len(data.train), data.train.batch,
+        batch_loss, rng, label_fraction=label_fraction, epochs=epochs,
+        batch_size=batch_size, lr=lr, encoder_lr_scale=encoder_lr_scale,
+        prefetch=prefetch, run=run, checkpoint=checkpoint, profile=profile)
+
     preds, truth = [], []
     for start in range(0, len(data.test), _CHUNK):
-        indices = np.arange(start, min(start + _CHUNK, len(data.test)))
-        x, y = data.test.batch(indices)
+        x, y = data.test.batch(
+            np.arange(start, min(start + _CHUNK, len(data.test))))
         mean, std = _window_stats(x)
-        x_patched = model.encoder.prepare_input(x)
         with nn.no_grad():
-            z = model.encoder(x_patched)
-            __, z_t = model.encoder.split(z)
-            if config.channel_independence:
-                batch_n, channels = x.shape[0], x.shape[2]
-                flat = z_t.reshape(batch_n * channels, flat_width)
-                pred = head(flat).data.reshape(batch_n, channels, data.pred_len)
-                pred = pred.transpose(0, 2, 1)
-            else:
-                pred = head(z_t.reshape(x.shape[0], flat_width)).data
-                pred = pred.reshape(x.shape[0], data.pred_len, -1)
-        preds.append(pred * std + mean)
+            preds.append(forecast(x).data * std + mean)
         truth.append(y)
     y_pred = np.concatenate(preds)
     y_true = np.concatenate(truth)
@@ -431,84 +435,32 @@ def run_finetune_classification(model: TimeDRL, data: ClassificationData,
                                 seed: int = 0, profile: bool = False,
                                 prefetch: bool = False,
                                 run=None,
-                                checkpoint: CheckpointConfig | None = None,
-                                runtime: RuntimeOptions | None = None
+                                checkpoint: CheckpointConfig | None = None
                                 ) -> ClassificationResult:
     """Fig. 5 classification fine-tuning; see
     :func:`run_finetune_forecasting`."""
-    opts = resolve_runtime(runtime, profile=profile, checkpoint=checkpoint)
-    profile, checkpoint = opts.profile, opts.checkpoint
     run = NULL_RUN if run is None else run
     rng = np.random.default_rng(seed)
     config = model.config
     width = instance_dim(config.pooling, config.d_model, config.num_patches)
     head = nn.Linear(width, data.n_classes, rng=rng)
-    model.train()
-    params = model.encoder.parameters() + head.parameters()
-    optimizer = nn.AdamW(head.parameters(), lr=lr, weight_decay=1e-3)
-    encoder_optimizer = nn.AdamW(model.encoder.parameters(),
-                                 lr=lr * encoder_lr_scale, weight_decay=1e-3)
-    labelled = _label_subset(len(data.x_train), label_fraction, rng)
-    bundle = _CheckpointBundle(model, head)
-    pair = _OptimizerPair(optimizer, encoder_optimizer)
-    manager, start_epoch = _finetune_checkpointing(
-        checkpoint, run, "finetune_classification", bundle, pair, rng)
-    obs_on = _obs_enabled()
-    track_loss = run.enabled or manager is not None or obs_on
 
-    from .pooling import pool_instance
+    def logits(x: np.ndarray) -> Tensor:
+        z_i, z_t = model.encoder.split(
+            model.encoder(model.encoder.prepare_input(x)))
+        return head(pool_instance(z_i, z_t, config.pooling))
 
-    if profile:
-        _profiler.enable()
-    for epoch in range(start_epoch, epochs):
-        loss_sum, loss_batches = 0.0, 0
-        epoch_started = time.perf_counter() if obs_on else 0.0
-        with run.span("finetune_epoch", task="classification", index=epoch), \
-                closing(_labelled_batches(
-                    lambda idx: (data.x_train[idx], data.y_train[idx]),
-                    labelled, batch_size, rng, prefetch)) as batches:
-            for x, y in batches:
-                x_patched = model.encoder.prepare_input(x)
-                optimizer.zero_grad()
-                encoder_optimizer.zero_grad()
-                z = model.encoder(x_patched)
-                z_i, z_t = model.encoder.split(z)
-                pooled = pool_instance(z_i, z_t, config.pooling)
-                loss = nn.cross_entropy(head(pooled), y)
-                loss.backward()
-                grad_norm = nn.clip_grad_norm(params, 5.0)
-                optimizer.step()
-                encoder_optimizer.step()
-                if track_loss:
-                    loss_sum += float(loss.data)
-                    loss_batches += 1
-        if obs_on:
-            _obs_epoch("finetune_classification", loss_batches,
-                       time.perf_counter() - epoch_started,
-                       loss_sum / loss_batches if loss_batches else None)
-        if run.enabled and loss_batches:
-            run.log_epoch(epoch, loss=loss_sum / loss_batches,
-                          grad_norm=grad_norm, task="finetune_classification")
-        if manager is not None and ((epoch + 1) % checkpoint.every_n_epochs == 0
-                                    or epoch + 1 == epochs):
-            mean_loss = loss_sum / loss_batches if loss_batches else float("nan")
-            _finetune_save(manager, run, "finetune_classification", bundle,
-                           pair, rng, epoch, mean_loss)
-    profile_stats = None
-    if profile:
-        _profiler.disable()
-        profile_stats = _profiler.snapshot()
+    profile_stats = _finetune(
+        model, head, "classification", len(data.x_train),
+        lambda idx: (data.x_train[idx], data.y_train[idx]),
+        lambda x, y: nn.cross_entropy(logits(x), y), rng,
+        label_fraction=label_fraction, epochs=epochs, batch_size=batch_size,
+        lr=lr, encoder_lr_scale=encoder_lr_scale, prefetch=prefetch, run=run,
+        checkpoint=checkpoint, profile=profile)
 
-    model.eval()
-    logit_chunks = []
-    for start in range(0, len(data.x_test), _CHUNK):
-        x = data.x_test[start: start + _CHUNK]
-        x_patched = model.encoder.prepare_input(x)
-        with nn.no_grad():
-            z = model.encoder(x_patched)
-            z_i, z_t = model.encoder.split(z)
-            pooled = pool_instance(z_i, z_t, config.pooling)
-            logit_chunks.append(head(pooled).data)
+    with nn.no_grad():
+        logit_chunks = [logits(data.x_test[start: start + _CHUNK]).data
+                        for start in range(0, len(data.x_test), _CHUNK)]
     predictions = np.concatenate(logit_chunks).argmax(axis=1)
     report = metrics.classification_report(data.y_test, predictions)
     result = ClassificationResult(accuracy=report["ACC"], macro_f1=report["MF1"],

@@ -33,6 +33,7 @@ from __future__ import annotations
 import dataclasses
 import pathlib
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -582,6 +583,41 @@ def run_pretrain(model_config: TimeDRLConfig, data,
                          run, hooks, dist)
 
 
+@contextmanager
+def phase_run(run, wiring: PretrainConfig, **manifest):
+    """The telemetry run one training phase reports into.
+
+    A caller's ``run`` is yielded untouched (the caller keeps ownership).
+    Without one, ``wiring.telemetry`` opens a fresh
+    :class:`repro.telemetry.Run` under ``wiring.run_root``
+    (``manifest`` is passed on to :meth:`Run.create`) and owns it: it is
+    finished ``completed`` when the phase returns, ``failed`` when a
+    recovery policy aborts training, and marked ``crashed`` with a
+    traceback on any other exception.  With telemetry off the phase gets
+    :data:`NULL_RUN`.
+    """
+    if run is not None or not wiring.telemetry:
+        yield NULL_RUN if run is None else run
+        return
+    run = Run.create(root=wiring.run_root, name=wiring.run_name,
+                     log_to_console=wiring.verbose, **manifest)
+    try:
+        yield run
+    except TrainingAborted as error:
+        # Deliberate stop by a recovery policy: a controlled failure, not
+        # a crash.
+        run.emit("health", check="aborted", phase="run",
+                 error=type(error).__name__, detail=str(error))
+        run.finish("failed")
+        raise
+    except BaseException as error:
+        run.emit("health", check="exception", phase="run",
+                 error=type(error).__name__, detail=str(error))
+        run.record_crash(error)
+        raise
+    run.finish("completed")
+
+
 def _run_pretrain(model_config, data, train_config, run, hooks,
                   dist) -> PretrainResult:
     """The one pre-training driver: resolve the data, open the run, train
@@ -594,43 +630,34 @@ def _run_pretrain(model_config, data, train_config, run, hooks,
 
         data = materialize_data_spec(spec)
     data = resolve_data_source(data)
-    owns_run = False
-    if run is None:
-        if train_config.telemetry:
-            run = Run.create(root=train_config.run_root,
-                             name=train_config.run_name,
-                             model_config=model_config,
-                             train_config=train_config,
-                             seed=train_config.seed, data=data,
-                             log_to_console=train_config.verbose)
-            owns_run = True
+    with phase_run(run, train_config, model_config=model_config,
+                   train_config=train_config, seed=train_config.seed,
+                   data=data) as run:
+        ckpt_cfg = train_config.checkpoint
+        checkpoint_dir = extra_meta = None
+        if ckpt_cfg is not None:
+            checkpoint_dir = _resolve_checkpoint_dir(ckpt_cfg, train_config,
+                                                     run)
+            extra_meta = _checkpoint_extra_meta(model_config, train_config,
+                                                ckpt_cfg, spec, data, dist)
+
+        span = {"epochs": train_config.epochs,
+                "batch_size": train_config.batch_size}
+        resumed_from_step = None
+        restarts = 0
+        if dist is None:
+            loop = _PretrainLoop(model_config, data, train_config,
+                                 _Reporter(run), hooks=hooks,
+                                 checkpoint_dir=checkpoint_dir,
+                                 extra_meta=extra_meta)
+            if ckpt_cfg is not None and ckpt_cfg.resume:
+                resumed_from_step = loop.resume_latest()
+            if train_config.profile:
+                profiler.enable()
         else:
-            run = NULL_RUN
+            span["world_size"] = dist.world_size
 
-    ckpt_cfg = train_config.checkpoint
-    checkpoint_dir = extra_meta = None
-    if ckpt_cfg is not None:
-        checkpoint_dir = _resolve_checkpoint_dir(ckpt_cfg, train_config, run)
-        extra_meta = _checkpoint_extra_meta(model_config, train_config,
-                                            ckpt_cfg, spec, data, dist)
-
-    span = {"epochs": train_config.epochs,
-            "batch_size": train_config.batch_size}
-    resumed_from_step = None
-    restarts = 0
-    if dist is None:
-        loop = _PretrainLoop(model_config, data, train_config, _Reporter(run),
-                             hooks=hooks, checkpoint_dir=checkpoint_dir,
-                             extra_meta=extra_meta)
-        if ckpt_cfg is not None and ckpt_cfg.resume:
-            resumed_from_step = loop.resume_latest()
-        if train_config.profile:
-            profiler.enable()
-    else:
-        span["world_size"] = dist.world_size
-
-    start = time.perf_counter()
-    try:
+        start = time.perf_counter()
         with run.span("pretrain", **span):
             if dist is None:
                 loop.run_all()
@@ -639,53 +666,37 @@ def _run_pretrain(model_config, data, train_config, run, hooks,
 
                 group = train_group(model_config, data, train_config, dist,
                                     run, hooks, checkpoint_dir, extra_meta)
-    except TrainingAborted as error:
-        # Deliberate stop by a recovery policy: a controlled failure, not
-        # a crash.
-        if owns_run:
-            run.emit("health", check="aborted", phase="run",
-                     error=type(error).__name__, detail=str(error))
-            run.finish("failed")
-        raise
-    except BaseException as error:
-        if owns_run:
-            run.emit("health", check="exception", phase="run",
-                     error=type(error).__name__, detail=str(error))
-            run.record_crash(error)
-        raise
-    elapsed = time.perf_counter() - start
+        elapsed = time.perf_counter() - start
 
-    profile = None
-    if dist is None:
-        model, history = loop.model, loop.history
-        if train_config.profile:
-            profiler.disable()
-            profile = profiler.snapshot()
-            if train_config.verbose:
-                console_log("[pretrain] op profile:")
-                console_log(format_profile(profile, limit=20))
-    else:
-        model = TimeDRL(model_config)
-        model.load_state_dict(group["model_state"], strict=True)
-        history = group["history"]
-        resumed_from_step = group["resumed_from_step"]
-        restarts = group["restarts"]
-    if run.enabled and history:
-        run.log_summary(final_total=history[-1]["total"],
-                        final_predictive=history[-1]["predictive"],
-                        final_contrastive=history[-1]["contrastive"],
-                        epochs=len(history),
-                        wall_clock_seconds=elapsed)
-    if owns_run:
-        run.finish("completed")
-    model.eval()
-    return PretrainResult(model=model, history=history,
-                          wall_clock_seconds=elapsed,
-                          profile=profile, run_id=run.run_id,
-                          run_dir=(str(run.directory)
-                                   if run.directory is not None else None),
-                          checkpoint_dir=(str(checkpoint_dir)
-                                          if checkpoint_dir is not None else None),
-                          resumed_from_step=resumed_from_step,
-                          world_size=dist.world_size if dist else 1,
-                          worker_restarts=restarts)
+        profile = None
+        if dist is None:
+            model, history = loop.model, loop.history
+            if train_config.profile:
+                profiler.disable()
+                profile = profiler.snapshot()
+                if train_config.verbose:
+                    console_log("[pretrain] op profile:")
+                    console_log(format_profile(profile, limit=20))
+        else:
+            model = TimeDRL(model_config)
+            model.load_state_dict(group["model_state"], strict=True)
+            history = group["history"]
+            resumed_from_step = group["resumed_from_step"]
+            restarts = group["restarts"]
+        if run.enabled and history:
+            run.log_summary(final_total=history[-1]["total"],
+                            final_predictive=history[-1]["predictive"],
+                            final_contrastive=history[-1]["contrastive"],
+                            epochs=len(history),
+                            wall_clock_seconds=elapsed)
+        model.eval()
+        return PretrainResult(
+            model=model, history=history, wall_clock_seconds=elapsed,
+            profile=profile, run_id=run.run_id,
+            run_dir=(str(run.directory)
+                     if run.directory is not None else None),
+            checkpoint_dir=(str(checkpoint_dir)
+                            if checkpoint_dir is not None else None),
+            resumed_from_step=resumed_from_step,
+            world_size=dist.world_size if dist else 1,
+            worker_restarts=restarts)

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 from ..data.datasets import ForecastingData
 from ..evaluation.forecasting import ridge_probe_forecasting
-from ..telemetry import NULL_RUN
-from .config import PretrainConfig, RuntimeOptions, TimeDRLConfig
+from .config import PretrainConfig, TimeDRLConfig
 from .finetune import timedrl_forecast_features
 from .model import TimeDRL
-from .pretrain import _resolve_checkpoint_dir, run_pretrain
+from .pretrain import _resolve_checkpoint_dir, phase_run, run_pretrain
 
 __all__ = ["TransferResult", "run_transfer"]
 
@@ -47,17 +46,16 @@ def run_transfer(source: ForecastingData, target: ForecastingData,
                  config: TimeDRLConfig,
                  train_config: PretrainConfig | None = None,
                  alpha: float = 1.0, run=None,
-                 runtime: RuntimeOptions | None = None,
                  distributed=None) -> TransferResult:
     """Pre-train on ``source``, evaluate the frozen encoder on ``target``.
 
     ``config`` must use ``channel_independence=True`` so the encoder is
     agnostic to the feature counts of the two datasets.  An optional
     telemetry ``run`` traces the three phases (source pre-train, target
-    pre-train, random baseline) as spans and records the resulting MSEs.
-    A ``runtime`` bundle overrides the runtime fields of ``train_config``;
-    ``distributed`` (world size / dict / ``DistributedConfig``) applies to
-    both pre-training phases.
+    pre-train, random baseline) as spans and records the resulting MSEs;
+    without one, ``train_config.telemetry`` records them all in one run
+    of its own.  ``distributed`` (world size / dict /
+    ``DistributedConfig``) applies to both pre-training phases.
     """
     if not config.channel_independence:
         raise ValueError("transfer requires channel_independence=True "
@@ -65,47 +63,46 @@ def run_transfer(source: ForecastingData, target: ForecastingData,
     if source.seq_len != target.seq_len:
         raise ValueError("source and target must share seq_len")
     train_config = train_config or PretrainConfig()
-    if runtime is not None:
-        train_config = dataclasses.replace(train_config, runtime=runtime)
-    run = NULL_RUN if run is None else run
+    with phase_run(run, train_config, model_config=config,
+                   train_config=train_config, seed=train_config.seed,
+                   data=source, tags={"phase": "transfer"}) as run:
+        def phase_config(phase: str) -> PretrainConfig:
+            """Give each pre-training phase its own checkpoint subdirectory —
+            the two phases run the same step counts, so sharing one directory
+            would collide file names (and ``resume`` would cross phases)."""
+            ckpt = train_config.checkpoint
+            if ckpt is None:
+                return train_config
+            base = _resolve_checkpoint_dir(ckpt, train_config, run)
+            phase_ckpt = dataclasses.replace(
+                ckpt, directory=str(pathlib.Path(base) / phase))
+            return dataclasses.replace(train_config, checkpoint=phase_ckpt)
 
-    def phase_config(phase: str) -> PretrainConfig:
-        """Give each pre-training phase its own checkpoint subdirectory —
-        the two phases run the same step counts, so sharing one directory
-        would collide file names (and ``resume`` would cross phases)."""
-        ckpt = train_config.checkpoint
-        if ckpt is None:
-            return train_config
-        base = _resolve_checkpoint_dir(ckpt, train_config, run)
-        phase_ckpt = dataclasses.replace(
-            ckpt, directory=str(pathlib.Path(base) / phase))
-        return dataclasses.replace(train_config, checkpoint=phase_ckpt)
+        with run.span("transfer_source_pretrain"):
+            source_model = run_pretrain(config, source.train,
+                                        phase_config("source"), run=run,
+                                        distributed=distributed).model
+        transfer_mse = ridge_probe_forecasting(
+            timedrl_forecast_features(source_model), target, alpha).mse
 
-    with run.span("transfer_source_pretrain"):
-        source_model = run_pretrain(config, source.train,
-                                    phase_config("source"), run=run,
-                                    distributed=distributed).model
-    transfer_mse = ridge_probe_forecasting(
-        timedrl_forecast_features(source_model), target, alpha).mse
+        with run.span("transfer_target_pretrain"):
+            target_model = run_pretrain(config, target.train,
+                                        phase_config("target"), run=run,
+                                        distributed=distributed).model
+        in_domain_mse = ridge_probe_forecasting(
+            timedrl_forecast_features(target_model), target, alpha).mse
 
-    with run.span("transfer_target_pretrain"):
-        target_model = run_pretrain(config, target.train,
-                                    phase_config("target"), run=run,
-                                    distributed=distributed).model
-    in_domain_mse = ridge_probe_forecasting(
-        timedrl_forecast_features(target_model), target, alpha).mse
+        with run.span("transfer_random_baseline"):
+            random_model = TimeDRL(config)
+            random_model.eval()
+        random_mse = ridge_probe_forecasting(
+            timedrl_forecast_features(random_model), target, alpha).mse
 
-    with run.span("transfer_random_baseline"):
-        random_model = TimeDRL(config)
-        random_model.eval()
-    random_mse = ridge_probe_forecasting(
-        timedrl_forecast_features(random_model), target, alpha).mse
-
-    result = TransferResult(transfer_mse=transfer_mse,
-                            in_domain_mse=in_domain_mse,
-                            random_mse=random_mse)
-    run.log_summary(transfer_mse=result.transfer_mse,
-                    in_domain_mse=result.in_domain_mse,
-                    random_mse=result.random_mse,
-                    transfer_gap=result.transfer_gap)
-    return result
+        result = TransferResult(transfer_mse=transfer_mse,
+                                in_domain_mse=in_domain_mse,
+                                random_mse=random_mse)
+        run.log_summary(transfer_mse=result.transfer_mse,
+                        in_domain_mse=result.in_domain_mse,
+                        random_mse=result.random_mse,
+                        transfer_gap=result.transfer_gap)
+        return result

@@ -14,11 +14,9 @@ from ..baselines import CLASSIFICATION_BASELINES, FitConfig
 from ..checkpoint import CheckpointConfig
 from ..core import (
     PretrainConfig,
-    RuntimeOptions,
     TimeDRLConfig,
     linear_evaluate_classification,
     run_pretrain,
-    resolve_runtime,
 )
 from ..data import (
     CLASSIFICATION_DATASETS,
@@ -120,8 +118,7 @@ def classification_table(datasets: tuple[str, ...] = ("Epilepsy",),
                          methods: tuple[str, ...] = CLASSIFICATION_METHODS,
                          preset: ScalePreset | None = None,
                          seed: int = 0, run=None,
-                         checkpoint: CheckpointConfig | None = None,
-                         runtime: RuntimeOptions | None = None
+                         checkpoint: CheckpointConfig | None = None
                          ) -> dict[str, ResultTable]:
     """Regenerate the paper's Table V.
 
@@ -132,8 +129,6 @@ def classification_table(datasets: tuple[str, ...] = ("Epilepsy",),
     """
     preset = preset or get_scale()
     run = NULL_RUN if run is None else run
-    if runtime is not None:
-        checkpoint = resolve_runtime(runtime).checkpoint
     tables = {
         metric: ResultTable(f"Linear evaluation, classification ({metric})",
                             columns=list(methods))

@@ -28,11 +28,9 @@ from ..baselines import (
 from ..checkpoint import CheckpointConfig
 from ..core import (
     PretrainConfig,
-    RuntimeOptions,
     TimeDRLConfig,
     linear_evaluate_forecasting,
     run_pretrain,
-    resolve_runtime,
 )
 from ..data import (
     FORECASTING_DATASETS,
@@ -180,8 +178,7 @@ def forecasting_table(datasets: tuple[str, ...] = ("ETTh1",),
                       univariate: bool = False,
                       preset: ScalePreset | None = None,
                       seed: int = 0, run=None,
-                      checkpoint: CheckpointConfig | None = None,
-                      runtime: RuntimeOptions | None = None
+                      checkpoint: CheckpointConfig | None = None
                       ) -> dict[str, ResultTable]:
     """Regenerate the paper's Table III (or IV with ``univariate=True``).
 
@@ -194,8 +191,6 @@ def forecasting_table(datasets: tuple[str, ...] = ("ETTh1",),
     """
     preset = preset or get_scale()
     run = NULL_RUN if run is None else run
-    if runtime is not None:
-        checkpoint = resolve_runtime(runtime).checkpoint
     flavour = "univariate" if univariate else "multivariate"
     mse_table = ResultTable(f"Linear evaluation, {flavour} forecasting (MSE)",
                             columns=list(methods))

@@ -15,8 +15,7 @@ across phases::
                                            checkpoint=True, distributed=4))
     result = session.finetune(forecasting_data)   # reuses the pretrained model
 
-The module-level functions in :mod:`repro.train` are one-shot
-sessions; ``docs/training.md`` lists the free functions they replaced.
+``docs/training.md`` lists the free functions the session replaced.
 """
 
 from __future__ import annotations
@@ -25,19 +24,10 @@ import dataclasses
 from dataclasses import dataclass
 
 from ..checkpoint.config import CheckpointConfig
-from ..core.config import (
-    PretrainConfig,
-    RuntimeOptions,
-    TimeDRLConfig,
-    _coerce_checkpoint,
-)
+from ..core.config import PretrainConfig, TimeDRLConfig, _coerce_checkpoint
 from ..core.model import TimeDRL
 
 __all__ = ["TrainOptions", "TrainSession"]
-
-# RuntimeOptions field → PretrainConfig field (same names by design).
-_RUNTIME_FIELDS = ("verbose", "profile", "telemetry", "run_root", "run_name",
-                   "log_every", "checkpoint")
 
 
 @dataclass
@@ -49,21 +39,19 @@ class TrainOptions:
     config object, unchanged, so a session run with it is bit-identical
     to :func:`repro.core.run_pretrain` with that config.
 
-    Precedence for the pre-training config, highest first:
+    Run wiring (checkpoint, prefetch, profile, verbose, telemetry, run
+    root) resolves the same way for every phase, highest first:
 
-    1. the individual override fields (``checkpoint``, ``telemetry``,
-       ``prefetch``, ``profile``, ``verbose``, ``run_root``);
-    2. the bundled ``runtime`` (a :class:`RuntimeOptions`), which sets
-       all seven runtime fields at once;
-    3. the base ``pretrain`` config (or ``PretrainConfig()`` defaults).
+    1. the override fields (``checkpoint``, ``telemetry``, ``prefetch``,
+       ``profile``, ``verbose``, ``run_root``);
+    2. the base ``pretrain`` config (or ``PretrainConfig()`` defaults).
     """
 
     # base pre-training config (PretrainConfig, dict, or None = defaults)
     pretrain: PretrainConfig | dict | None = None
     # data-parallel workers: None/1 = in-process, int/dict/DistributedConfig
     distributed: object = None
-    # cross-cutting wiring (None = inherit from runtime/pretrain)
-    runtime: RuntimeOptions | dict | None = None
+    # run wiring overrides (None = inherit from pretrain)
     checkpoint: CheckpointConfig | bool | dict | None = None
     telemetry: bool | None = None
     prefetch: bool | None = None
@@ -82,7 +70,7 @@ class TrainOptions:
     alpha: float = 1.0            # ridge strength for transfer probes
 
     def resolved_pretrain_config(self) -> PretrainConfig:
-        """Fold ``runtime`` and the override fields into the base config.
+        """Fold the override fields into the base config.
 
         With no overrides the base config object is returned *as is*
         (same identity), so a caller's carefully constructed
@@ -93,55 +81,15 @@ class TrainOptions:
             config = PretrainConfig(**config)
         if config is None:
             config = PretrainConfig()
-        overrides = {}
-        if self.runtime is not None:
-            runtime = (RuntimeOptions(**self.runtime)
-                       if isinstance(self.runtime, dict) else self.runtime)
-            overrides.update({name: getattr(runtime, name)
-                              for name in _RUNTIME_FIELDS})
+        overrides = {name: getattr(self, name)
+                     for name in ("telemetry", "prefetch", "profile",
+                                  "verbose", "run_root")
+                     if getattr(self, name) is not None}
         if self.checkpoint is not None:
             overrides["checkpoint"] = _coerce_checkpoint(self.checkpoint)
-        if self.telemetry is not None:
-            overrides["telemetry"] = self.telemetry
-        if self.prefetch is not None:
-            overrides["prefetch"] = self.prefetch
-        if self.profile is not None:
-            overrides["profile"] = self.profile
-        if self.verbose is not None:
-            overrides["verbose"] = self.verbose
-        if self.run_root is not None:
-            overrides["run_root"] = self.run_root
         if not overrides:
             return config
         return dataclasses.replace(config, **overrides)
-
-    def resolved_runtime(self) -> RuntimeOptions | None:
-        """The fine-tuning counterpart: a ``RuntimeOptions`` bundle, or
-        ``None`` when nothing runtime-shaped was configured (so the task
-        driver's own legacy kwargs stay authoritative)."""
-        if self.runtime is not None:
-            runtime = (RuntimeOptions(**self.runtime)
-                       if isinstance(self.runtime, dict) else self.runtime)
-            overrides = {}
-            if self.checkpoint is not None:
-                overrides["checkpoint"] = _coerce_checkpoint(self.checkpoint)
-            if self.profile is not None:
-                overrides["profile"] = self.profile
-            if self.verbose is not None:
-                overrides["verbose"] = self.verbose
-            return (dataclasses.replace(runtime, **overrides)
-                    if overrides else runtime)
-        if (self.checkpoint is None and self.profile is None
-                and self.verbose is None and self.telemetry is None
-                and self.run_root is None):
-            return None
-        return RuntimeOptions(
-            verbose=bool(self.verbose),
-            profile=bool(self.profile),
-            telemetry=bool(self.telemetry),
-            run_root=self.run_root or "results/runs",
-            checkpoint=_coerce_checkpoint(
-                None if self.checkpoint is None else self.checkpoint))
 
 
 class TrainSession:
@@ -212,6 +160,7 @@ class TrainSession:
             run_finetune_classification,
             run_finetune_forecasting,
         )
+        from ..core.pretrain import phase_run
 
         opts = self._opts(options)
         task = task or _infer_task(data)
@@ -223,19 +172,25 @@ class TrainSession:
         runner, default_epochs = (
             (run_finetune_forecasting, 5) if task == "forecasting"
             else (run_finetune_classification, 10))
-        result = runner(
-            self.model, data,
-            label_fraction=opts.label_fraction,
-            epochs=opts.epochs if opts.epochs is not None else default_epochs,
-            batch_size=(opts.batch_size
-                        if opts.batch_size is not None else 32),
-            lr=(opts.learning_rate
-                if opts.learning_rate is not None else 1e-3),
-            encoder_lr_scale=opts.encoder_lr_scale,
-            seed=opts.seed,
-            prefetch=bool(opts.prefetch),
-            run=opts.run,
-            runtime=opts.resolved_runtime())
+        wiring = opts.resolved_pretrain_config()
+        with phase_run(opts.run, wiring, model_config=self.model_config,
+                       seed=opts.seed, data=data,
+                       tags={"phase": f"finetune_{task}"}) as run:
+            result = runner(
+                self.model, data,
+                label_fraction=opts.label_fraction,
+                epochs=(opts.epochs if opts.epochs is not None
+                        else default_epochs),
+                batch_size=(opts.batch_size
+                            if opts.batch_size is not None else 32),
+                lr=(opts.learning_rate
+                    if opts.learning_rate is not None else 1e-3),
+                encoder_lr_scale=opts.encoder_lr_scale,
+                seed=opts.seed,
+                profile=wiring.profile,
+                prefetch=wiring.prefetch,
+                run=run,
+                checkpoint=wiring.checkpoint)
         self.last_result = result
         return result
 

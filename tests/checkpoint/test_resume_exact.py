@@ -196,3 +196,56 @@ class TestCrashTelemetry:
         resumes = [e for e in loaded.events
                    if e["type"] == "checkpoint" and e["action"] == "resumed"]
         assert resumes and resumes[0]["step"] == 8
+
+
+class TestFinetuneKillAndResume:
+    """Fine-tuning resumes bit-identically at epoch granularity.
+
+    Two epochs with a checkpoint, then a resume to three epochs on a
+    freshly built model, must equal an uninterrupted three-epoch run:
+    the result dataclass, the model's ``state_dict`` and the final
+    checkpoint (head and both optimizers included).
+    """
+
+    @pytest.mark.parametrize("task", ["forecasting", "classification"])
+    def test_resume_matches_uninterrupted(self, tmp_path, task):
+        from repro.core import (
+            TimeDRL,
+            run_finetune_classification,
+            run_finetune_forecasting,
+        )
+        from tests.train.test_session import (
+            _class_data,
+            _forecast_data,
+            _model_config,
+        )
+
+        if task == "forecasting":
+            runner, data, config = (run_finetune_forecasting,
+                                    _forecast_data(), _model_config())
+        else:
+            runner, data, config = (run_finetune_classification,
+                                    _class_data(),
+                                    _model_config(channel_independence=False))
+
+        def finetune(label, epochs, resume=False):
+            model = TimeDRL(config)
+            result = runner(model, data, epochs=epochs, batch_size=16,
+                            seed=0, checkpoint=CheckpointConfig(
+                                directory=str(tmp_path / label),
+                                resume=resume))
+            return result, model
+
+        baseline, baseline_model = finetune("baseline", 3)
+        finetune("killed", 2)
+        resumed, resumed_model = finetune("killed", 3, resume=True)
+        assert resumed == baseline
+        assert_model_states_equal(baseline_model.state_dict(),
+                                  resumed_model.state_dict())
+        phase = f"finetune_{task}"
+        final_a, __ = CheckpointManager(
+            tmp_path / "baseline" / phase).load_latest()
+        final_b, __ = CheckpointManager(
+            tmp_path / "killed" / phase).load_latest()
+        assert final_b.epoch == 3
+        assert_training_states_equal(final_a, final_b)

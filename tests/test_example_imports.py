@@ -1,6 +1,7 @@
-"""Examples and benchmarks import only names that exist.
+"""Examples, benchmarks and CI scripts import only names that exist.
 
-Walks the AST of ``examples/*.py`` and ``benchmarks/**/*.py`` without
+Walks the AST of ``examples/*.py``, ``benchmarks/**/*.py`` and every
+``python - <<'EOF'`` block of ``.github/workflows/ci.yml`` without
 running anything, and resolves every ``import repro…`` and
 ``from repro… import name`` through :mod:`importlib`.  A deleted or
 renamed library name then fails here instead of stranding a script that
@@ -12,11 +13,31 @@ from __future__ import annotations
 import ast
 import importlib
 import pathlib
+import textwrap
 
 import pytest
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SCRIPTS = sorted([*REPO.glob("examples/*.py"), *REPO.glob("benchmarks/**/*.py")])
+CI = REPO / ".github" / "workflows" / "ci.yml"
+HEREDOC = "python - <<'EOF'"
+
+
+def heredocs(text: str) -> list[tuple[int, str]]:
+    """``(line, source)`` of every ``python - <<'EOF'`` block in a
+    workflow file; ``line`` is the block's first source line."""
+    lines = text.splitlines()
+    blocks = []
+    for number, line in enumerate(lines):
+        if line.rstrip().endswith(HEREDOC):
+            end = next(i for i in range(number + 1, len(lines))
+                       if lines[i].strip() == "EOF")
+            blocks.append((number + 2, textwrap.dedent(
+                "\n".join(lines[number + 1:end]))))
+    return blocks
+
+
+CI_BLOCKS = heredocs(CI.read_text())
 
 
 def repro_imports(tree: ast.Module) -> list[tuple[int, str, str | None]]:
@@ -60,6 +81,17 @@ def test_scripts_were_found():
                          ids=[str(p.relative_to(REPO)) for p in SCRIPTS])
 def test_repro_imports_resolve(path):
     imports = repro_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert unresolved(imports) == []
+
+
+def test_every_ci_heredoc_was_found():
+    assert len(CI_BLOCKS) == CI.read_text().count(HEREDOC) > 0
+
+
+@pytest.mark.parametrize("line, source", CI_BLOCKS,
+                         ids=[f"ci.yml:{line}" for line, __ in CI_BLOCKS])
+def test_ci_heredoc_imports_resolve(line, source):
+    imports = repro_imports(ast.parse(source, filename=f"ci.yml:{line}"))
     assert unresolved(imports) == []
 
 

@@ -2,10 +2,12 @@
 
 ``repro pretrain|finetune|transfer`` must spell and default the shared
 training flags identically (``--checkpoint --resume --telemetry
---run-root --prefetch --workers``); ``serve`` shares the
-``--telemetry``/``--run-root`` pair.  Plus an end-to-end smoke of the
-``pretrain`` subcommand, including ``--workers 2`` and
-``--history-json``.
+--run-root --prefetch --workers``); ``serve``, ``swap`` and the
+experiment subcommands share the ``--telemetry``/``--run-root`` pair,
+and ``table3`` the ``--checkpoint``/``--resume`` pair.  Plus an
+end-to-end smoke of the ``pretrain`` subcommand, including ``--workers
+2`` and ``--history-json``, and of ``--telemetry`` on every training
+subcommand.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.telemetry import Run, list_runs
 
 TRAINING_COMMANDS = ("pretrain", "finetune", "transfer")
 SHARED_FLAGS = ("--checkpoint", "--resume", "--telemetry", "--run-root",
@@ -47,8 +50,15 @@ class TestFlagParity:
 
     def test_serve_shares_telemetry_and_run_root(self):
         commands = _subparsers()
-        for flag in ("--telemetry", "--run-root"):
-            assert _flag_signature(commands["serve"], flag) == \
+        for name in ("serve", "swap", "table3"):
+            for flag in ("--telemetry", "--run-root"):
+                assert _flag_signature(commands[name], flag) == \
+                    _flag_signature(commands["pretrain"], flag), (name, flag)
+
+    def test_table3_shares_checkpoint_and_resume(self):
+        commands = _subparsers()
+        for flag in ("--checkpoint", "--resume"):
+            assert _flag_signature(commands["table3"], flag) == \
                 _flag_signature(commands["pretrain"], flag)
 
     def test_workers_defaults_to_single_process(self):
@@ -101,3 +111,30 @@ class TestPretrainCommand:
         assert h2["world_size"] == 2
         for a, b in zip(h1["history"], h2["history"]):
             assert a["total"] == pytest.approx(b["total"], rel=1e-5)
+
+
+# Smallest runs of each training subcommand; the epoch records the run
+# must hold (a key every record has, and how many: transfer pre-trains
+# twice into one run).
+TELEMETRY_RUNS = {
+    "pretrain": (["--synthetic", "32", "--seq-len", "16", "--channels", "2",
+                  "--patch-len", "4", "--d-model", "8", "--num-heads", "2",
+                  "--num-layers", "1", "--batch-size", "16"], "total", 2),
+    "finetune": (["--dataset", "ETTh1", "--scale", "smoke"], "loss", 2),
+    "transfer": (["--source", "ETTh1", "--target", "ETTh2",
+                  "--scale", "smoke"], "total", 4),
+}
+
+
+class TestTelemetryFlag:
+    @pytest.mark.parametrize("command", TRAINING_COMMANDS)
+    def test_records_one_completed_run(self, tmp_path, command):
+        flags, key, records = TELEMETRY_RUNS[command]
+        root = tmp_path / "runs"
+        assert main([command, *flags, "--epochs", "2", "--telemetry",
+                     "--run-root", str(root)]) == 0
+        runs = list_runs(root)
+        assert [run["status"] for run in runs] == ["completed"]
+        epochs = Run.load(runs[0]["directory"]).epoch_metrics
+        assert len(epochs) == records
+        assert all(key in record for record in epochs)

@@ -18,7 +18,6 @@ import pytest
 from repro.checkpoint import CheckpointConfig
 from repro.core import (
     PretrainConfig,
-    RuntimeOptions,
     TimeDRL,
     TimeDRLConfig,
     run_finetune_classification,
@@ -114,35 +113,6 @@ class TestSessionMatchesBareDrivers:
         assert bare.random_mse == facade.random_mse
 
 
-class TestPretrainShim:
-    """``repro.train.pretrain``: a one-shot session behind a function."""
-
-    def test_module_level_convenience_function(self):
-        from repro.train import pretrain as train_pretrain
-
-        data = _samples()
-        config = PretrainConfig(epochs=1, batch_size=8, seed=0)
-        a = train_pretrain(_model_config(), data,
-                           TrainOptions(pretrain=config))
-        b = TrainSession(_model_config()).pretrain(
-            data, options=TrainOptions(pretrain=config))
-        assert a.history == b.history
-
-
-class TestFinetuneShims:
-    """The fine-tuning drivers' legacy keyword arguments."""
-
-    def test_runtime_kwarg_stays_authoritative(self):
-        # An explicit ``runtime=`` bundle wins over the
-        # ``profile``/``checkpoint`` kwargs.
-        data = _forecast_data()
-        runtime = RuntimeOptions(profile=False)
-        result = run_finetune_forecasting(
-            TimeDRL(_model_config()), data, epochs=1, seed=0,
-            profile=True, runtime=runtime)
-        assert result.profile is None  # runtime said no profiling
-
-
 class TestTrainOptions:
     def test_no_overrides_returns_the_base_config_object(self):
         config = PretrainConfig(epochs=3)
@@ -151,12 +121,11 @@ class TestTrainOptions:
 
     def test_individual_fields_override_runtime(self):
         options = TrainOptions(
-            pretrain=PretrainConfig(),
-            runtime=RuntimeOptions(telemetry=False, verbose=True),
+            pretrain=PretrainConfig(telemetry=False, verbose=True),
             telemetry=True)
         resolved = options.resolved_pretrain_config()
-        assert resolved.telemetry is True     # individual field wins
-        assert resolved.verbose is True       # runtime still applies
+        assert resolved.telemetry is True     # override field wins
+        assert resolved.verbose is True       # base config still applies
 
     def test_checkpoint_coercion(self):
         resolved = TrainOptions(pretrain=PretrainConfig(),
@@ -166,15 +135,6 @@ class TestTrainOptions:
             pretrain=PretrainConfig(),
             checkpoint={"directory": "x"}).resolved_pretrain_config()
         assert resolved.checkpoint.directory == "x"
-
-    def test_resolved_runtime_none_when_nothing_configured(self):
-        assert TrainOptions().resolved_runtime() is None
-
-    def test_resolved_runtime_from_individual_fields(self):
-        runtime = TrainOptions(telemetry=True,
-                               run_root="r").resolved_runtime()
-        assert runtime.telemetry is True
-        assert runtime.run_root == "r"
 
 
 class TestSessionLifecycle:
@@ -244,3 +204,22 @@ class TestCheckpointDirPrecedence:
                   and e["action"] == "dir_resolved"]
         assert events and events[0]["source"] == "run_directory"
         assert events[0]["directory"].startswith(run_dir)
+
+
+class TestFinetuneCheckpointDir:
+    def test_pretrain_and_finetune_keep_their_own_checkpoints(self, tmp_path):
+        # One options object checkpoints both phases into one directory;
+        # fine-tuning must neither prune pre-training's checkpoints nor
+        # try to resume from them.
+        directory = tmp_path / "ck"
+        options = TrainOptions(
+            pretrain=PretrainConfig(epochs=1, batch_size=8, seed=0),
+            checkpoint={"directory": str(directory), "resume": True},
+            epochs=1, batch_size=16)
+        session = TrainSession(_model_config())
+        session.pretrain(_samples(), options)
+        pretrained = sorted(path.name for path in directory.glob("ckpt-*"))
+        session.finetune(_forecast_data(), options=options)
+        assert sorted(path.name for path in directory.glob("ckpt-*")) == \
+            pretrained
+        assert list((directory / "finetune_forecasting").glob("ckpt-*"))
