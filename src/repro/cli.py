@@ -505,6 +505,8 @@ def _run_finetune_cmd(args) -> int:
         console_log(f"finetune complete ({args.dataset}): "
                     f"accuracy={result.accuracy:.2f} "
                     f"macro_f1={result.macro_f1:.2f}")
+    if result.run_id is not None:
+        console_log(f"recorded run {result.run_id}")
     return 0
 
 
@@ -535,6 +537,8 @@ def _run_transfer_cmd(args) -> int:
                 f"in_domain_mse={result.in_domain_mse:.4f} "
                 f"random_mse={result.random_mse:.4f} "
                 f"gap_retained={result.transfer_gap:.3f}")
+    if result.run_id is not None:
+        console_log(f"recorded run {result.run_id}")
     return 0
 
 

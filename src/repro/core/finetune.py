@@ -19,7 +19,6 @@ the paper's use of instance normalisation + PatchTST conventions.
 from __future__ import annotations
 
 import pathlib
-import time
 from contextlib import closing
 from dataclasses import dataclass
 
@@ -42,10 +41,10 @@ from ..evaluation.forecasting import RidgeProbe, collect_forecast_features, ridg
 from ..nn import Tensor
 from ..nn import profiler as _profiler
 from ..obs.metrics import enabled as _obs_enabled
-from ..obs.metrics import get_registry as _obs_registry
 from ..telemetry import NULL_RUN
 from .model import TimeDRL
 from .pooling import instance_dim, pool_instance
+from .pretrain import _observe_epoch
 
 __all__ = [
     "ForecastResult",
@@ -71,6 +70,7 @@ class ForecastResult:
     mse: float
     mae: float
     profile: dict[str, dict[str, float]] | None = None  # op stats when profiled
+    run_id: str | None = None   # telemetry run id (when enabled)
 
 
 @dataclass
@@ -81,6 +81,7 @@ class ClassificationResult:
     macro_f1: float
     kappa: float
     profile: dict[str, dict[str, float]] | None = None  # op stats when profiled
+    run_id: str | None = None   # telemetry run id (when enabled)
 
 
 # Alias kept for API symmetry with the evaluation package.
@@ -247,27 +248,6 @@ def _label_subset(n: int, fraction: float, rng: np.random.Generator) -> np.ndarr
     return rng.choice(n, size=min(count, n), replace=False)
 
 
-def _obs_epoch(task: str, batches: int, seconds: float,
-               mean_loss: float | None) -> None:
-    """Publish one fine-tuning epoch into the metrics registry.
-
-    Callers gate on ``_obs_enabled()`` sampled before the epoch so the
-    disabled path never reads the epoch clock.
-    """
-    registry = _obs_registry()
-    registry.counter("train_steps_total", "Optimizer steps taken",
-                     labels=("phase",)).labels(phase=task).inc(batches)
-    registry.counter("train_epochs_total", "Epochs completed",
-                     labels=("phase",)).labels(phase=task).inc()
-    registry.histogram("train_epoch_seconds", "Wall-clock per epoch",
-                       labels=("phase",),
-                       buckets=(0.01, 0.1, 0.5, 1, 5, 30, 60, 300,
-                                1800, 7200)).labels(phase=task).observe(seconds)
-    if mean_loss is not None:
-        registry.gauge("train_last_loss",
-                       "Most recent epoch's mean total loss").set(mean_loss)
-
-
 def _finetune(model: TimeDRL, head: nn.Module, task: str, n_train: int,
               fetch, batch_loss, rng: np.random.Generator, *,
               label_fraction: float, epochs: int, batch_size: int, lr: float,
@@ -306,9 +286,8 @@ def _finetune(model: TimeDRL, head: nn.Module, task: str, n_train: int,
         _profiler.enable()
     for epoch in range(start_epoch, epochs):
         loss_sum, loss_batches = 0.0, 0
-        epoch_started = time.perf_counter() if obs_on else 0.0
         # closing() joins the prefetch worker of an abandoned epoch.
-        with run.span("finetune_epoch", task=task, index=epoch), \
+        with run.span("finetune_epoch", task=task, index=epoch) as span, \
                 closing(_prefetch_batches(epoch_batches(),
                                           enabled=prefetch)) as batches:
             for x, y in batches:
@@ -324,11 +303,10 @@ def _finetune(model: TimeDRL, head: nn.Module, task: str, n_train: int,
                     loss_batches += 1
         mean_loss = loss_sum / loss_batches if loss_batches else None
         if obs_on:
-            _obs_epoch(phase, loss_batches, time.perf_counter() - epoch_started,
-                       mean_loss)
+            _observe_epoch(phase, loss_batches, span.seconds, mean_loss)
         if run.enabled and mean_loss is not None:
             run.log_epoch(epoch, loss=mean_loss, grad_norm=grad_norm,
-                          task=phase)
+                          task=phase, epoch_seconds=span.seconds)
         if manager is not None and ((epoch + 1) % checkpoint.every_n_epochs == 0
                                     or epoch + 1 == epochs):
             info = manager.save(
@@ -422,7 +400,7 @@ def run_finetune_forecasting(model: TimeDRL, data: ForecastingData,
     y_true = np.concatenate(truth)
     result = ForecastResult(mse=metrics.mse(y_true, y_pred),
                             mae=metrics.mae(y_true, y_pred),
-                            profile=profile_stats)
+                            profile=profile_stats, run_id=run.run_id)
     run.log_summary(finetune_mse=result.mse, finetune_mae=result.mae,
                     finetune_label_fraction=label_fraction)
     return result
@@ -464,7 +442,8 @@ def run_finetune_classification(model: TimeDRL, data: ClassificationData,
     predictions = np.concatenate(logit_chunks).argmax(axis=1)
     report = metrics.classification_report(data.y_test, predictions)
     result = ClassificationResult(accuracy=report["ACC"], macro_f1=report["MF1"],
-                                  kappa=report["kappa"], profile=profile_stats)
+                                  kappa=report["kappa"], profile=profile_stats,
+                                  run_id=run.run_id)
     run.log_summary(finetune_accuracy=result.accuracy,
                     finetune_macro_f1=result.macro_f1,
                     finetune_kappa=result.kappa,

@@ -56,7 +56,7 @@ from ..nn import profiler
 from ..obs.metrics import enabled as obs_enabled
 from ..obs.metrics import get_registry as obs_registry
 from ..telemetry import NULL_RUN, ParamUpdateMeter, Run, console_log, grad_global_norm
-from ..utils.training import Timer, format_profile
+from ..utils.training import format_profile
 from .config import PretrainConfig, TimeDRLConfig
 from .model import TimeDRL
 
@@ -123,19 +123,6 @@ def _profiler_alloc_bytes() -> float:
     return float(sum(stat["bytes"] for stat in profiler.snapshot().values()))
 
 
-class _NullContext:
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
-
-
-_NULL_CTX = _NullContext()
-
-
 class _Rollback(Exception):
     """Internal signal: restore the last checkpoint and continue."""
 
@@ -144,6 +131,28 @@ def _local_reduce(params, losses, rows):
     """The in-process gradient reducer: the gradients stay where backward
     left them; only the loss values are read out."""
     return {key: float(losses[key].data) for key in _LOSS_KEYS}, rows
+
+
+def _observe_epoch(phase: str, steps: int, seconds: float,
+                   last_loss: float | None) -> None:
+    """Publish one training epoch of ``phase`` into the obs registry.
+
+    ``seconds`` is the epoch span's reading; callers gate on obs being
+    enabled, sampled before the epoch, so the disabled path never times.
+    """
+    registry = obs_registry()
+    registry.counter("train_steps_total", "Optimizer steps taken",
+                     labels=("phase",)).labels(phase=phase).inc(steps)
+    registry.counter("train_epochs_total", "Epochs completed",
+                     labels=("phase",)).labels(phase=phase).inc()
+    registry.histogram("train_epoch_seconds", "Wall-clock per epoch",
+                       labels=("phase",),
+                       buckets=(0.01, 0.1, 0.5, 1, 5, 30, 60, 300,
+                                1800, 7200)).labels(
+        phase=phase).observe(seconds)
+    if last_loss is not None:
+        registry.gauge("train_last_loss",
+                       "Most recent epoch's mean total loss").set(last_loss)
 
 
 class _Reporter:
@@ -172,20 +181,7 @@ class _Reporter:
     def log(text: str) -> None:
         console_log(text)
 
-    @staticmethod
-    def observe_epoch(steps: int, seconds: float, last_loss: float) -> None:
-        registry = obs_registry()
-        registry.counter("train_steps_total", "Optimizer steps taken",
-                         labels=("phase",)).labels(phase="pretrain").inc(steps)
-        registry.counter("train_epochs_total", "Epochs completed",
-                         labels=("phase",)).labels(phase="pretrain").inc()
-        registry.histogram("train_epoch_seconds", "Wall-clock per epoch",
-                           labels=("phase",),
-                           buckets=(0.01, 0.1, 0.5, 1, 5, 30, 60, 300,
-                                    1800, 7200)).labels(
-            phase="pretrain").observe(seconds)
-        registry.gauge("train_last_loss",
-                       "Most recent epoch's mean total loss").set(last_loss)
+    observe_epoch = staticmethod(_observe_epoch)
 
 
 class _PretrainLoop:
@@ -242,9 +238,8 @@ class _PretrainLoop:
         self.pending = None       # (sums, batches, samples) restored mid-epoch
         self.epoch_rng_state = None
         self.active_loader = None  # PrefetchLoader of the epoch in flight
-        # telemetry instruments (built in run_all, after any resume)
+        # telemetry instrument (built in run_all, after any resume)
         self.meter = None
-        self.epoch_timer = None
 
     # -- state transfer -------------------------------------------------
     def apply_state(self, state: TrainingState) -> None:
@@ -324,7 +319,6 @@ class _PretrainLoop:
         cfg = self.train_config
         telemetry_on = self.report.enabled
         self.meter = ParamUpdateMeter(self.params) if telemetry_on else None
-        self.epoch_timer = Timer(accumulate=True) if telemetry_on else None
         self._profiling = telemetry_on and cfg.profile and profiler.is_active()
         self._alloc_before = _profiler_alloc_bytes() if self._profiling else 0.0
         if (self.manager is not None and cfg.checkpoint.wants_rollback
@@ -354,9 +348,9 @@ class _PretrainLoop:
         cfg = self.train_config
         telemetry_on = self.report.enabled
         # Sampled once per epoch: the batch loop below must not pay even
-        # a registry lookup per step on the disabled path.
+        # a registry lookup per step on the disabled path.  The epoch
+        # span times the epoch whenever either consumer is on.
         obs_on = self.report.obs_on
-        epoch_started = time.perf_counter() if obs_on else 0.0
         epoch = self.epoch
         skip = self.start_batch
         self.start_batch = 0
@@ -381,7 +375,7 @@ class _PretrainLoop:
             # bit-identical to the unprefetched path.
             source = self.active_loader = PrefetchLoader(
                 source, depth=cfg.prefetch_depth)
-        with self.report.span("epoch", index=epoch), (self.epoch_timer or _NULL_CTX):
+        with self.report.span("epoch", index=epoch) as span:
             for x in source:
                 step = self.global_step
                 self.optimizer.zero_grad()
@@ -451,11 +445,10 @@ class _PretrainLoop:
         epoch_stats["epoch"] = float(epoch)
         self.history.append(epoch_stats)
         if obs_on:
-            self.report.observe_epoch(batches,
-                                      time.perf_counter() - epoch_started,
+            self.report.observe_epoch("pretrain", batches, span.seconds,
                                       epoch_stats["total"])
         if telemetry_on:
-            seconds = self.epoch_timer.last
+            seconds = span.seconds
             epoch_metrics = {key: epoch_stats[key] for key in sums}
             epoch_metrics["epoch_seconds"] = seconds
             epoch_metrics["samples"] = samples

@@ -31,6 +31,7 @@ class TransferResult:
     transfer_mse: float       # pre-trained on source, probed on target
     in_domain_mse: float      # pre-trained on target, probed on target
     random_mse: float         # random frozen encoder, probed on target
+    run_id: str | None = None  # telemetry run id (when enabled)
 
     @property
     def transfer_gap(self) -> float:
@@ -100,7 +101,7 @@ def run_transfer(source: ForecastingData, target: ForecastingData,
 
         result = TransferResult(transfer_mse=transfer_mse,
                                 in_domain_mse=in_domain_mse,
-                                random_mse=random_mse)
+                                random_mse=random_mse, run_id=run.run_id)
         run.log_summary(transfer_mse=result.transfer_mse,
                         in_domain_mse=result.in_domain_mse,
                         random_mse=result.random_mse,

@@ -32,7 +32,6 @@ caller).
 
 from __future__ import annotations
 
-import contextlib
 import threading
 import time
 import traceback
@@ -43,6 +42,7 @@ from ..core.config import PretrainConfig, TimeDRLConfig
 from ..core.pretrain import _LOSS_KEYS, _batch_fetcher, _PretrainLoop
 from ..data.store import resolve_data_source
 from ..nn import tensor as _tensor
+from ..obs import trace as obs_trace
 from .reduce import SharedAllReduce, flatten_grads, scatter_grads
 from .sharding import local_indices
 
@@ -140,12 +140,16 @@ class _Rank:
             self._forward("log", text)
 
     def span(self, name: str, **attrs):
-        return contextlib.nullcontext()
+        # Timed whenever this rank reports its epoch (run records or obs
+        # metrics); only the reading leaves the rank, in those reports.
+        if self.enabled or self.obs_on:
+            return obs_trace.Span(f"run/{name}", attrs)
+        return obs_trace.span(f"run/{name}", **attrs)
 
-    def observe_epoch(self, steps: int, seconds: float,
+    def observe_epoch(self, phase: str, steps: int, seconds: float,
                       last_loss: float) -> None:
         if self.rank == 0:
-            self._forward("observe_epoch", steps, seconds, last_loss)
+            self._forward("observe_epoch", phase, steps, seconds, last_loss)
         self._forward("observe_rank", self.rank, self.rows, seconds,
                       self.reduce_seconds)
         self.rows, self.reduce_seconds = 0, 0.0

@@ -24,7 +24,7 @@ import math
 import re
 import time
 
-from .metrics import MetricsRegistry
+from .metrics import MetricsRegistry, _HistogramChild
 
 __all__ = ["prometheus_text", "json_snapshot", "parse_prometheus",
            "flatten_snapshot", "ExpositionError", "METRIC_PREFIX"]
@@ -257,44 +257,22 @@ def flatten_snapshot(snapshot: dict) -> dict[str, float]:
             if series:
                 flat[name] = total
             continue
-        count = sum(entry["count"] for entry in series)
-        total = sum(entry["sum"] for entry in series)
-        flat[f"{name}_count"] = float(count)
-        flat[f"{name}_sum"] = float(total)
-        if count:
-            flat[f"{name}_mean"] = total / count
-            low = min(entry["min"] for entry in series
-                      if entry["min"] is not None)
-            high = max(entry["max"] for entry in series
-                       if entry["max"] is not None)
-            flat[f"{name}_max"] = high
-            merged = _merge_bucket_counts(series)
-            for q in (50.0, 95.0):
-                value = _bucket_percentile(merged, count, q)
-                flat[f"{name}_p{int(q)}"] = min(max(value, low), high)
+        merged = _merged_histogram(series)
+        flat[f"{name}_count"] = float(merged.count)
+        flat[f"{name}_sum"] = float(merged.sum)
+        if merged.count:
+            flat[f"{name}_mean"] = merged.mean
+            flat[f"{name}_max"] = merged._max
+            for q in (50, 95):
+                flat[f"{name}_p{q}"] = merged.percentile(q)
     return flat
 
 
-def _merge_bucket_counts(series: list) -> list[tuple[float, int]]:
-    merged: dict[float, int] = {}
+def _merged_histogram(series: list) -> _HistogramChild:
+    """One histogram child holding every snapshotted series of a family,
+    so the flat percentiles are :meth:`_HistogramChild.percentile`'s."""
+    buckets = series[0]["buckets"][:-1] if series else ()
+    merged = _HistogramChild(tuple(float(bound) for bound, __ in buckets))
     for entry in series:
-        for bound, count in entry["buckets"]:
-            numeric = math.inf if bound == "+Inf" else float(bound)
-            merged[numeric] = merged.get(numeric, 0) + count
-    return sorted(merged.items())
-
-
-def _bucket_percentile(buckets: list[tuple[float, int]], count: int,
-                       q: float) -> float:
-    rank = (q / 100.0) * count
-    cumulative = 0
-    previous = 0.0
-    for bound, bucket_count in buckets:
-        if bucket_count and cumulative + bucket_count >= rank:
-            upper = bound if bound != math.inf else previous
-            fraction = (rank - cumulative) / bucket_count
-            return previous + (upper - previous) * min(max(fraction, 0.0), 1.0)
-        cumulative += bucket_count
-        if bound != math.inf:
-            previous = bound
-    return previous
+        merged.merge_snapshot(entry)
+    return merged

@@ -274,17 +274,21 @@ class _HistogramChild:
     def merge(self, other: "_HistogramChild") -> None:
         if other._bounds != self._bounds:
             raise ValueError("cannot merge histograms with different buckets")
-        with other._lock:
-            counts = list(other._counts)
-            count, total = other._count, other._sum
-            low, high = other._min, other._max
+        self.merge_snapshot(other._snapshot())
+
+    def merge_snapshot(self, snapshot: dict) -> None:
+        """Add one :meth:`_snapshot` of a child with these buckets."""
+        counts = [count for __, count in snapshot["buckets"]]
+        if len(counts) != len(self._counts):
+            raise ValueError("cannot merge histograms with different buckets")
         with self._lock:
             for index, bucket_count in enumerate(counts):
                 self._counts[index] += bucket_count
-            self._count += count
-            self._sum += total
-            self._min = min(self._min, low)
-            self._max = max(self._max, high)
+            self._count += snapshot["count"]
+            self._sum += snapshot["sum"]
+            if snapshot["count"]:
+                self._min = min(self._min, snapshot["min"])
+                self._max = max(self._max, snapshot["max"])
 
     def reset(self) -> None:
         with self._lock:

@@ -6,16 +6,17 @@ every observability-aware subsystem shares.  It lives in a
 nested calls, generators, and (explicitly, via :func:`activate`) across
 thread boundaries like the serving engine's submit→worker hand-off.
 
-Two integration surfaces:
-
-* :func:`span` — a context manager that derives a child context, makes
-  it current, times the region, and (when obs is enabled) appends a
-  :class:`SpanRecord` to the process-wide bounded :class:`TraceLog`.
-  This is what the serve path uses.
-* :func:`child_context` / :func:`set_current` / :func:`reset` — the
-  low-level hooks :meth:`repro.telemetry.Run.span` uses so training
-  spans mint ids from the same scheme and serve traces opened inside a
-  run nest under the run's spans.
+:class:`Span` is the one timed-region primitive: it derives a child
+context, makes it current, times the region once (``seconds``), and
+(when obs is enabled) appends a :class:`SpanRecord` with that reading
+to the process-wide bounded :class:`TraceLog`.  While the op profiler
+is active it is also a ``repro.nn.profiler`` scope of the same name.
+:func:`span` opens one when obs is enabled and is a shared no-op
+otherwise; :meth:`repro.telemetry.Run.span` subclasses it to also
+write the run's ``span_start``/``span_end`` events, so a training span
+is timed once for the run, the trace log and its caller, and serve
+traces opened inside a run nest under it.  :func:`record_span` is the
+scope-less emitter for per-request hot paths.
 
 Id scheme: ``trace_id`` is 32 hex chars, ``span_id`` 16 hex chars (the
 W3C trace-context widths).  Ids are minted from a per-process random
@@ -34,10 +35,11 @@ import threading
 import time
 from collections import deque
 
+from ..nn import profiler
 from .metrics import enabled
 
 __all__ = [
-    "TraceContext", "SpanRecord", "TraceLog",
+    "TraceContext", "SpanRecord", "TraceLog", "Span",
     "current", "child_context", "new_context", "set_current", "reset",
     "activate", "span", "record_span", "trace_log", "current_trace_id",
 ]
@@ -237,6 +239,7 @@ class _NullSpan:
 
     __slots__ = ()
     ctx = None
+    seconds = None
 
     def __enter__(self) -> "_NullSpan":
         return self
@@ -248,47 +251,76 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
-class _SpanScope:
-    __slots__ = ("name", "attrs", "ctx", "_token", "_start")
+class Span:
+    """One timed region: ``with Span("epoch", {}) as s: ...; s.seconds``.
+
+    Times the region once and feeds every consumer from that reading:
+    ``seconds`` for the caller and the trace log (when obs is enabled).
+    While the profiler is active the span is also a profiler scope
+    named ``name``, which keeps the profiler's own self-time books.
+    Subclasses hook :meth:`_opened` (the context is current, the clock
+    not yet started) and :meth:`_closed` (the clock stopped, the context
+    reset) — :class:`repro.telemetry.Run` writes its events there.
+    """
+
+    __slots__ = ("name", "attrs", "ctx", "seconds", "_token", "_start",
+                 "_scope")
 
     def __init__(self, name: str, attrs: dict):
         self.name = name
         self.attrs = attrs
         self.ctx: TraceContext | None = None
+        self.seconds: float | None = None
         self._token = None
         self._start = 0.0
+        self._scope = None
 
-    def __enter__(self) -> "_SpanScope":
+    def __enter__(self) -> "Span":
         self.ctx = child_context()
         self._token = _CURRENT.set(self.ctx)
+        self._opened()
+        if profiler.is_active():
+            self._scope = profiler.scope(self.name)
+            self._scope.__enter__()
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        seconds = time.perf_counter() - self._start
+        self.seconds = time.perf_counter() - self._start
+        if self._scope is not None:
+            self._scope.__exit__(exc_type, exc, tb)
+            self._scope = None
         _CURRENT.reset(self._token)
-        attrs = self.attrs
-        if exc_type is not None:
-            attrs = {**attrs, "error": exc_type.__name__}
-        ctx = self.ctx
-        _TRACE_LOG.record(SpanRecord(
-            name=self.name, trace_id=ctx.trace_id,
-            span_id=ctx.span_id, parent_id=ctx.parent_id,
-            thread=threading.current_thread().name,
-            start_unix=_UNIX_ANCHOR + self._start, seconds=seconds,
-            attrs=attrs))
+        error = None if exc_type is None else exc_type.__name__
+        self._closed(error)
+        if enabled():
+            attrs = self.attrs if error is None else {**self.attrs,
+                                                      "error": error}
+            ctx = self.ctx
+            _TRACE_LOG.record(SpanRecord(
+                name=self.name, trace_id=ctx.trace_id,
+                span_id=ctx.span_id, parent_id=ctx.parent_id,
+                thread=threading.current_thread().name,
+                start_unix=_UNIX_ANCHOR + self._start, seconds=self.seconds,
+                attrs=attrs))
         return False
+
+    def _opened(self) -> None:
+        pass
+
+    def _closed(self, error: str | None) -> None:
+        pass
 
 
 def span(name: str, **attrs):
     """Trace one region: ``with span("engine.submit", kind="encode"):``.
 
     When obs is disabled this is a shared no-op — no ids are minted, no
-    contextvar is touched, nothing is recorded.
+    contextvar is touched, no clock is read, nothing is recorded.
     """
     if not enabled():
         return _NULL_SPAN
-    return _SpanScope(name, attrs)
+    return Span(name, attrs)
 
 
 def record_span(name: str, ctx: TraceContext, start_perf: float,

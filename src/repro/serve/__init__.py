@@ -10,9 +10,10 @@ Components:
 * :mod:`~repro.serve.cache` — :class:`EmbeddingCache`: LRU cache of
   embeddings keyed by (model fingerprint, input digest).
 * :mod:`~repro.serve.batching` — :class:`BatchingEngine`: coalesces
-  queued requests into dynamic micro-batches under eval + no-grad;
-  :class:`InferenceRequest` is the one handle each request has.
-* :mod:`~repro.serve.metrics` — :class:`LatencyHistogram`.
+  queued requests into dynamic micro-batches under eval + no-grad and
+  records each request's latency into one ``repro.obs`` histogram child
+  per request kind; :class:`InferenceRequest` is the one handle each
+  request has.
 * :mod:`~repro.serve.errors` — the typed gateway error taxonomy
   (:class:`Overloaded`, :class:`QuotaExceeded`, :class:`DeadlineExceeded`,
   :class:`CircuitOpen`, :class:`EngineClosed`, :class:`SwapFailed`).
@@ -52,7 +53,6 @@ __all__ = [
     "BatchingEngine",
     "BatchingConfig",
     "InferenceRequest",
-    "LatencyHistogram",
     "GatewayError",
     "RetryableError",
     "Overloaded",
@@ -86,7 +86,6 @@ _LAZY = {
     "BatchingEngine": ".batching",
     "BatchingConfig": ".batching",
     "InferenceRequest": ".batching",
-    "LatencyHistogram": ".metrics",
     "GatewayError": ".errors",
     "RetryableError": ".errors",
     "Overloaded": ".errors",

@@ -38,10 +38,10 @@ import numpy as np
 from .. import nn
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from ..obs.metrics import get_registry
+from ..obs.metrics import (DEFAULT_LATENCY_BUCKETS_MS, _HistogramChild,
+                           get_registry)
 from .cache import EmbeddingCache, input_digest
 from .errors import DeadlineExceeded, EngineClosed
-from .metrics import LatencyHistogram
 from .registry import LoadedModel
 
 __all__ = ["BatchingEngine", "BatchingConfig", "InferenceRequest"]
@@ -188,7 +188,10 @@ class BatchingEngine:
         self.loaded = loaded
         self.config = config or BatchingConfig()
         self.cache = cache
-        self.latency = {kind: LatencyHistogram(kind) for kind in _KINDS}
+        # Per-kind request latency in ms, kept whether or not obs is
+        # enabled: the gateway report summarises these.
+        self.latency = {kind: _HistogramChild(DEFAULT_LATENCY_BUCKETS_MS)
+                        for kind in _KINDS}
         self.batches_run = 0
         self.windows_served = 0
         self._queue: list[InferenceRequest] = []
@@ -512,12 +515,13 @@ class BatchingEngine:
             cached[i] = value
         now = time.perf_counter()
         handles = self._obs_handles()
+        latency = self.latency[kind]
         request_ms = handles.request_ms[kind]
         batch_windows = 0
         for i, request in enumerate(batch):
-            seconds = now - request.enqueued
-            self.latency[kind].record(seconds)
-            request_ms.observe(seconds * 1e3)
+            ms = (now - request.enqueued) * 1e3
+            latency.observe(ms)
+            request_ms.observe(ms)
             batch_windows += request.windows
             if request.trace is not None:
                 # Child of the submit-side context, so the fulfil span

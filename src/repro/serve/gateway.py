@@ -47,7 +47,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..obs import trace as obs_trace
 from ..obs.metrics import NULL_METRIC, get_registry
 from ..telemetry import NULL_RUN
 from .admission import (AdmissionController, DEFAULT_TENANT, FairScheduler,
@@ -64,6 +63,22 @@ from .swap import ShadowValidator, SwapConfig, SwapHandle
 __all__ = ["ServingGateway", "GatewayConfig"]
 
 _SHED_REASONS = ("quota", "overload", "deadline", "circuit", "closed")
+
+
+def _latency_summary(hist) -> dict:
+    """``{count, mean_ms, p50_ms, p95_ms, max_ms}`` of one engine latency
+    histogram (milliseconds) for the report.  ``count``, ``mean_ms`` and
+    ``max_ms`` are exact; the percentiles are bucket-interpolated and
+    clamped to the observed range, so ``p50 <= p95 <= max``."""
+    snap = hist._snapshot()
+    if not snap["count"]:
+        return {"count": 0, "mean_ms": None, "p50_ms": None,
+                "p95_ms": None, "max_ms": None}
+    return {"count": int(snap["count"]),
+            "mean_ms": float(snap["sum"] / snap["count"]),
+            "p50_ms": float(hist.percentile(50)),
+            "p95_ms": float(hist.percentile(95)),
+            "max_ms": float(snap["max"])}
 
 
 @dataclass(frozen=True)
@@ -309,9 +324,7 @@ class ServingGateway:
         # context from this span, so the whole pass shares one trace_id
         # through gateway, engine, worker thread, and cache.
         with self.run.span("serve_windows", mode=mode,
-                           windows=int(windows.shape[0])), \
-                obs_trace.span("gateway.serve_windows", mode=mode,
-                               windows=int(windows.shape[0])):
+                           windows=int(windows.shape[0])):
             for index, start in enumerate(
                     range(0, windows.shape[0], request_size)):
                 x = windows[start:start + request_size]
@@ -633,7 +646,7 @@ class ServingGateway:
             degraded = dict(self._degraded_counts)
             shed = dict(self._shed_counts)
         swap_handle = self._swap_handle
-        latency = {kind: hist.summary()
+        latency = {kind: _latency_summary(hist)
                    for kind, hist in engine.latency.items()}
         cache = self.cache.stats().as_dict() if self.cache else None
         report = {

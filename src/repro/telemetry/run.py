@@ -15,9 +15,12 @@ singleton, which shares the full interface but does nothing — the
 disabled path must keep training bit-identical and overhead-free
 (mirroring ``repro.nn.profiler``'s disabled-is-free contract).
 
-Spans nest with profiler scopes: ``with run.span("epoch")`` both emits
-``span_start``/``span_end`` events and opens a ``repro.nn.profiler`` scope
-named ``run/<name>``, so op-level profiles line up with run-level traces.
+Run spans are :mod:`repro.obs.trace` spans named ``run/<name>``:
+``with run.span("epoch") as span`` times the region once, and that one
+reading lands in the ``span_end`` event, in ``span.seconds`` and in the
+obs trace log (when obs is enabled).  While the profiler is active the
+span is also the ``repro.nn.profiler`` scope ``run/<name>``, so
+op-level profiles line up with run-level traces.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import hashlib
 import json
 import pathlib
 import platform
-import threading
 import time
 import traceback
 import uuid
@@ -35,7 +37,6 @@ import uuid
 import numpy as np
 
 from .. import __version__
-from ..nn import profiler
 from ..obs import trace as obs_trace
 from ..utils.fileio import atomic_write_text
 from .health import default_guards
@@ -104,62 +105,33 @@ def dataset_fingerprint(data) -> dict | None:
             "sha256": digest.hexdigest()[:16]}
 
 
-class _SpanHandle:
-    """Context manager for one traced region (see :meth:`Run.span`).
+class _RunSpan(obs_trace.Span):
+    """A :class:`repro.obs.trace.Span` named ``run/<name>`` that also
+    writes the run's ``span_start``/``span_end`` events (see
+    :meth:`Run.span`).  The ids on the events are the span's own, and
+    ``span_end``'s ``seconds`` is the span's one clock reading."""
 
-    Every real span mints ids from the :mod:`repro.obs.trace` scheme —
-    ``trace_id``/``span_id``/``parent_id`` ride on the ``span_start``/
-    ``span_end`` events, and the span's context becomes *current* for
-    its body, so serve traces opened inside a run (and nested run
-    spans) chain off the same ids.  When the observability layer is
-    enabled the completed span is also recorded in the process trace
-    log.
-    """
-
-    __slots__ = ("_run", "name", "attrs", "_start", "_profiler_scope",
-                 "ctx", "_trace_token")
+    __slots__ = ("_run", "_event")
 
     def __init__(self, run: "Run", name: str, attrs: dict):
+        super().__init__(f"run/{name}", attrs)
         self._run = run
-        self.name = name
-        self.attrs = attrs
-        self._start = 0.0
-        self._profiler_scope = None
-        self.ctx: obs_trace.TraceContext | None = None
-        self._trace_token = None
+        self._event = name
 
-    def __enter__(self) -> "_SpanHandle":
+    def _opened(self) -> None:
         run = self._run
-        self.ctx = obs_trace.child_context()
-        self._trace_token = obs_trace.set_current(self.ctx)
-        run._span_stack.append(self.name)
-        run.emit("span_start", span=self.name, path=run.span_path(),
+        run._span_stack.append(self._event)
+        run.emit("span_start", span=self._event, path=run.span_path(),
                  depth=len(run._span_stack), **self.ctx.as_dict(),
                  **self.attrs)
-        self._profiler_scope = profiler.scope(f"run/{self.name}")
-        self._profiler_scope.__enter__()
-        self._start = time.perf_counter()
-        return self
 
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        elapsed = time.perf_counter() - self._start
-        self._profiler_scope.__exit__(exc_type, exc, tb)
+    def _closed(self, error: str | None) -> None:
         run = self._run
         path = run.span_path()
         run._span_stack.pop()
-        obs_trace.reset(self._trace_token)
-        run.emit("span_end", span=self.name, path=path,
-                 depth=len(run._span_stack) + 1, seconds=elapsed,
-                 **self.ctx.as_dict(),
-                 error=(None if exc_type is None else exc_type.__name__))
-        if obs_trace.enabled():
-            obs_trace.trace_log().record(obs_trace.SpanRecord(
-                name=f"run/{self.name}", trace_id=self.ctx.trace_id,
-                span_id=self.ctx.span_id, parent_id=self.ctx.parent_id,
-                thread=threading.current_thread().name,
-                start_unix=time.time() - elapsed, seconds=elapsed,
-                attrs=dict(self.attrs)))
-        return False
+        run.emit("span_end", span=self._event, path=path,
+                 depth=len(run._span_stack) + 1, seconds=self.seconds,
+                 **self.ctx.as_dict(), error=error)
 
 
 class Run:
@@ -277,9 +249,10 @@ class Run:
     def message(self, text: str, **payload) -> None:
         self.emit("message", text=text, **payload)
 
-    def span(self, name: str, **attrs) -> _SpanHandle:
-        """``with run.span("epoch", index=3):`` — traced, profiler-nested."""
-        return _SpanHandle(self, name, attrs)
+    def span(self, name: str, **attrs) -> _RunSpan:
+        """``with run.span("epoch", index=3) as span:`` — traced,
+        profiler-nested, timed once (``span.seconds``)."""
+        return _RunSpan(self, name, attrs)
 
     def span_path(self) -> str:
         return "/".join(self._span_stack)
@@ -401,21 +374,6 @@ def _jsonable(value):
     return value
 
 
-class _NullSpan:
-    """Reusable, allocation-free span for the disabled path."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-_NULL_SPAN = _NullSpan()
-
-
 class NullRun:
     """Do-nothing stand-in sharing :class:`Run`'s interface.
 
@@ -439,8 +397,10 @@ class NullRun:
     def message(self, text: str, **payload) -> None:
         pass
 
-    def span(self, name: str, **attrs) -> _NullSpan:
-        return _NULL_SPAN
+    def span(self, name: str, **attrs):
+        """The obs span ``run/<name>``: timed and traced while obs is
+        enabled, the shared no-op otherwise."""
+        return obs_trace.span(f"run/{name}", **attrs)
 
     def log_step(self, step: int, **metrics) -> None:
         pass

@@ -1,16 +1,15 @@
-"""Training utilities: early stopping, metric tracking, timing, seeding."""
+"""Training utilities: early stopping, metric tracking, seeding, profile tables."""
 
 from __future__ import annotations
 
 import json
 import pathlib
-import time
 
 import numpy as np
 
 from .fileio import atomic_write_text
 
-__all__ = ["EarlyStopping", "MetricTracker", "Timer", "set_global_seed",
+__all__ = ["EarlyStopping", "MetricTracker", "set_global_seed",
            "format_profile"]
 
 
@@ -164,50 +163,3 @@ class MetricTracker:
     def load_state_dict(self, state: dict) -> None:
         self.history = {key: [float(v) for v in values]
                         for key, values in state["history"].items()}
-
-
-class Timer:
-    """Context-manager stopwatch: ``with Timer() as t: ...; t.seconds``.
-
-    The same instance is safely reusable: each ``with`` block re-arms the
-    clock, a stray ``__exit__`` without a matching ``__enter__`` is a
-    no-op (it used to raise ``TypeError``), and re-entering while already
-    running simply restarts the measurement.
-
-    With ``accumulate=True`` the timer sums laps instead of overwriting —
-    handy for "total time in X across all epochs"::
-
-        epoch_timer = Timer(accumulate=True)
-        for epoch in range(epochs):
-            with epoch_timer:
-                train_one_epoch()
-        print(epoch_timer.seconds, epoch_timer.laps, epoch_timer.last)
-    """
-
-    def __init__(self, accumulate: bool = False):
-        self.accumulate = accumulate
-        self.seconds: float = 0.0   # last lap, or the running sum
-        self.last: float = 0.0      # most recent lap, in either mode
-        self.laps: int = 0
-        self._start: float | None = None
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self._start is None:
-            return  # unmatched __exit__: keep previous measurements intact
-        self.last = time.perf_counter() - self._start
-        self._start = None
-        self.laps += 1
-        if self.accumulate:
-            self.seconds += self.last
-        else:
-            self.seconds = self.last
-
-    def reset(self) -> None:
-        """Zero all measurements (does not stop a running lap)."""
-        self.seconds = 0.0
-        self.last = 0.0
-        self.laps = 0

@@ -74,6 +74,27 @@ class TestWorldOfTwoRecords:
             phase="pretrain").value == 2
         assert obs_registry.get("dist_allreduce_seconds") is not None
 
+    def test_rank_epochs_are_timed_by_their_span(self, tmp_path,
+                                                 obs_registry):
+        config = PretrainConfig(epochs=2, batch_size=8, seed=0,
+                                telemetry=True,
+                                run_root=str(tmp_path / "runs"))
+        result = pretrain_data_parallel(
+            _model_config(), _data(), train_config=config,
+            distributed=DistributedConfig(world_size=2))
+        logged = [event["epoch_seconds"] for event in
+                  _events(Run.load(result.run_dir), "epoch")]
+        # Rank 0's epoch span is the one reading behind both the run's
+        # epoch records and the replayed train_epoch_seconds samples.
+        observed = obs_registry.get("train_epoch_seconds").labels(
+            phase="pretrain")
+        assert observed.count == len(logged) == 2
+        assert observed.sum == logged[0] + logged[1]
+        assert observed._min == min(logged) and observed._max == max(logged)
+        throughput = obs_registry.get("dist_worker_throughput")
+        for rank in ("0", "1"):
+            assert throughput.labels(rank=rank).value > 0
+
 
 class TestEmptyData:
     def test_zero_windows_rejected_before_forking(self):

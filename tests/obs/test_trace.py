@@ -13,11 +13,12 @@ import threading
 import pytest
 
 from repro.obs import trace as obs_trace
-from repro.obs.trace import (SpanRecord, TraceContext, TraceLog, activate,
-                             child_context, current, current_trace_id,
-                             new_context, span, trace_log)
+from repro.nn import profiler
+from repro.obs.trace import (Span, SpanRecord, TraceContext, TraceLog,
+                             activate, child_context, current,
+                             current_trace_id, new_context, span, trace_log)
 from repro.serve import BatchingConfig, BatchingEngine, ModelRegistry
-from repro.telemetry import Run
+from repro.telemetry import NULL_RUN, Run
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +79,30 @@ class TestSpanScope:
                 raise RuntimeError("nope")
         record, = trace_log().spans(name="boom")
         assert record.attrs["error"] == "RuntimeError"
+
+    def test_one_reading_feeds_caller_and_trace_log(self, registry):
+        with span("region") as scope:
+            sum(range(10_000))
+        record, = trace_log().spans(name="region")
+        assert scope.seconds > 0
+        assert record.seconds == scope.seconds
+
+    def test_span_is_a_profiler_scope_while_profiler_active(self, registry):
+        with span("idle"):
+            pass
+        assert profiler.get("idle") is None
+        with profiler.profile():
+            with span("gateway.region"):
+                pass
+        assert profiler.get("gateway.region").count == 1
+
+    def test_span_times_without_obs(self):
+        # A timed span (a run's, a reporting rank's) records nothing
+        # while obs is off, but still reads its clock once.
+        with Span("run/epoch", {}) as scope:
+            pass
+        assert scope.seconds >= 0
+        assert len(trace_log()) == 0
 
     def test_activate_adopts_context_on_another_thread(self, registry):
         ctx = new_context()
@@ -197,6 +222,16 @@ class TestRunSpanIntegration:
         names = [r.name for r in
                  trace_log().spans(trace_id=outer.ctx.trace_id)]
         assert names == ["run/batch", "run/epoch"]
+        ends = {e["span"]: e for e in sink.of_type("span_end")}
+        assert ends["epoch"]["seconds"] == outer.seconds
+        assert trace_log().spans(name="run/epoch")[0].seconds == outer.seconds
+
+    def test_null_run_span_is_the_obs_span(self, registry):
+        with NULL_RUN.span("epoch", index=0) as scope:
+            pass
+        record, = trace_log().spans(name="run/epoch")
+        assert record.seconds == scope.seconds
+        assert record.attrs == {"index": 0}
 
     def test_serve_span_inside_run_nests_under_it(self, registry, tmp_path,
                                                   loaded, windows):

@@ -27,7 +27,7 @@ from repro.checkpoint.faults import SimulatedCrash
 from repro.serve import (BatchingConfig, BreakerConfig, CircuitOpen,
                          DeadlineExceeded, EngineClosed, GatewayConfig,
                          ModelRegistry, Overloaded, QuotaExceeded,
-                         ServingGateway)
+                         RetryableError, ServingGateway)
 from repro.utils import BackoffPolicy
 
 TYPED = (DeadlineExceeded, EngineClosed, CircuitOpen, Overloaded,
@@ -248,6 +248,11 @@ class TestCloseUnderLoad:
                     request = gateway.submit(windows[:1], "encode")
                 except EngineClosed:
                     return
+                except RetryableError as error:
+                    # Over the in-flight budget: back off as told and keep
+                    # loading, so every client stays alive until close.
+                    time.sleep(error.retry_after_s)
+                    continue
                 with lock:
                     admitted.append(request)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils import EarlyStopping, MetricTracker, Timer, set_global_seed
+from repro.utils import EarlyStopping, MetricTracker, set_global_seed
 
 
 class TestEarlyStopping:
@@ -140,62 +140,6 @@ class TestMetricTracker:
 
 
 class TestTimerAndSeed:
-    def test_timer_measures_elapsed(self):
-        with Timer() as timer:
-            sum(range(100_000))
-        assert timer.seconds > 0
-
-    def test_timer_is_reusable(self):
-        timer = Timer()
-        with timer:
-            pass
-        first = timer.seconds
-        with timer:  # used to require a fresh instance
-            sum(range(10_000))
-        assert timer.seconds > 0
-        assert timer.laps == 2
-        assert timer.seconds != first or timer.last >= 0
-
-    def test_exit_without_enter_is_safe(self):
-        timer = Timer()
-        timer.__exit__(None, None, None)  # used to raise TypeError
-        assert timer.seconds == 0.0
-        assert timer.laps == 0
-
-    def test_exit_after_completed_block_preserves_measurement(self):
-        timer = Timer()
-        with timer:
-            sum(range(10_000))
-        recorded = timer.seconds
-        timer.__exit__(None, None, None)  # stray second exit: no-op
-        assert timer.seconds == recorded
-
-    def test_accumulating_mode_sums_laps(self):
-        timer = Timer(accumulate=True)
-        for __ in range(3):
-            with timer:
-                sum(range(10_000))
-        assert timer.laps == 3
-        assert timer.seconds >= timer.last > 0
-        assert timer.seconds >= 3 * min(timer.last, timer.seconds / 3)
-
-    def test_non_accumulating_mode_overwrites(self):
-        timer = Timer()
-        with timer:
-            sum(range(200_000))
-        long_lap = timer.seconds
-        with timer:
-            pass
-        assert timer.seconds <= long_lap
-        assert timer.seconds == timer.last
-
-    def test_reset(self):
-        timer = Timer(accumulate=True)
-        with timer:
-            pass
-        timer.reset()
-        assert timer.seconds == 0.0 and timer.laps == 0 and timer.last == 0.0
-
     def test_set_global_seed_reproducible(self):
         rng1 = set_global_seed(42)
         a = rng1.standard_normal(3)

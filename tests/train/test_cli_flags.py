@@ -138,3 +138,15 @@ class TestTelemetryFlag:
         epochs = Run.load(runs[0]["directory"]).epoch_metrics
         assert len(epochs) == records
         assert all(key in record for record in epochs)
+
+    @pytest.mark.parametrize("command", TRAINING_COMMANDS)
+    def test_prints_the_recorded_run_id(self, tmp_path, capsys, command):
+        flags, __, __ = TELEMETRY_RUNS[command]
+        root = tmp_path / "runs"
+        assert main([command, *flags, "--epochs", "1", "--telemetry",
+                     "--run-root", str(root)]) == 0
+        printed = [line.split()[2] for line in
+                   capsys.readouterr().out.splitlines()
+                   if line.startswith("recorded run ")]
+        assert len(printed) == 1
+        assert (root / printed[0]).is_dir()
