@@ -635,8 +635,7 @@ def _run_serve(args) -> int:
             max_queue_windows=args.queue_windows,
             default_deadline_ms=args.deadline_ms or None,
             stale_ok=args.stale_ok,
-            batching=BatchingConfig(max_batch_size=args.batch_size,
-                                    max_wait_ms=args.max_wait_ms),
+            batching=BatchingConfig(max_batch_size=args.batch_size),
             cache_size=args.cache_size), run=run)
         windows = _serve_load_input(args, loaded)
         names = tuple(tenant.name for tenant in tenants)
@@ -1370,8 +1369,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "hit-rate demonstration)")
     serve.add_argument("--batch-size", type=int, default=64,
                        help="micro-batch size (max windows per forward pass)")
-    serve.add_argument("--max-wait-ms", type=float, default=2.0,
-                       help="micro-batch deadline for the threaded engine")
     serve.add_argument("--request-size", type=_positive_int, default=1,
                        help="windows per request (cache granularity)")
     serve.add_argument("--cache-size", type=int, default=1024,

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import dataclasses
 import pathlib
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -53,6 +52,7 @@ from ..data.loader import batch_indices
 from ..data.prefetch import PrefetchLoader
 from ..data.store import ShardedDataset, resolve_data_source
 from ..nn import profiler
+from ..obs import trace as obs_trace
 from ..obs.metrics import enabled as obs_enabled
 from ..obs.metrics import get_registry as obs_registry
 from ..telemetry import NULL_RUN, ParamUpdateMeter, Run, console_log, grad_global_norm
@@ -650,8 +650,12 @@ def _run_pretrain(model_config, data, train_config, run, hooks,
         else:
             span["world_size"] = dist.world_size
 
-        start = time.perf_counter()
-        with run.span("pretrain", **span):
+        # One clock for the phase: the run's span_end, the summary and
+        # the result all read this span, which times with telemetry and
+        # obs off too.
+        phase = (run.span("pretrain", **span) if run.enabled
+                 else obs_trace.Span("run/pretrain", span))
+        with phase:
             if dist is None:
                 loop.run_all()
             else:
@@ -659,7 +663,7 @@ def _run_pretrain(model_config, data, train_config, run, hooks,
 
                 group = train_group(model_config, data, train_config, dist,
                                     run, hooks, checkpoint_dir, extra_meta)
-        elapsed = time.perf_counter() - start
+        elapsed = phase.seconds
 
         profile = None
         if dist is None:

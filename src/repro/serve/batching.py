@@ -1,21 +1,22 @@
 """Micro-batching engine: coalesce inference requests, answer from cache.
 
 Requests (encode or predict, each carrying one or more raw windows) are
-queued and coalesced into dynamic micro-batches: a batch closes when it
-reaches ``max_batch_size`` windows or when the oldest queued request has
-waited ``max_wait_ms`` — the classic throughput/latency dial.  Each
-micro-batch runs exactly one forward pass under eval mode + ``no_grad``
-on the fused-kernel fast path.
+queued and coalesced into micro-batches by one work-conserving rule:
+whenever the batcher is free it takes everything queued at that moment —
+the same-kind prefix of the queue, up to ``max_batch_size`` windows, in
+FIFO order — and runs it.  It never holds a request back to wait for
+company; batches grow under load on their own, because requests pile up
+while a forward pass runs.  Each micro-batch runs exactly one forward
+pass under eval mode + ``no_grad`` on the fused-kernel fast path.
 
 Two execution modes share the same batching core:
 
 * **deferred** (default) — ``submit()`` enqueues, ``flush()`` drains.
   Single-threaded and deterministic; what the CLI batch mode and the
-  benchmark use.  ``max_wait_ms`` is irrelevant here: the caller decides
-  when to flush.
+  benchmark use: the caller decides when to flush.
 * **threaded** — ``start()`` launches a worker that drains the queue
-  continuously, honouring the max-wait deadline for partially filled
-  batches.  ``submit()`` then returns a handle whose ``result()`` blocks.
+  continuously, blocking only while it is empty.  ``submit()`` then
+  returns a handle whose ``result()`` blocks.
 
 Per-window outputs are independent of batch composition on this
 substrate (row-wise kernels; locked by ``tests/serve/test_equivalence``),
@@ -87,17 +88,16 @@ class _ObsHandles:
 
 @dataclass
 class BatchingConfig:
-    """Engine knobs: batch geometry, deadline, cache wiring."""
+    """Engine knobs: the most windows one forward pass takes, and which
+    kernel path it runs on.  There is no wait knob: a free batcher takes
+    whatever is queued."""
 
     max_batch_size: int = 64
-    max_wait_ms: float = 2.0
     use_fused: bool = True
 
     def __post_init__(self):
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if self.max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be >= 0")
 
 
 class InferenceRequest:
@@ -111,7 +111,7 @@ class InferenceRequest:
     fields (``None`` for engine-only requests).
 
     ``submitted`` is the door time; ``enqueued`` is when the engine
-    queued the request, which is where its max-wait and latency
+    queued the request, which is where its queue-wait and latency
     accounting start.  ``deadline_s`` (absolute ``time.perf_counter()``
     time, optional) is the latest moment a forward pass may *start* on
     this request; the engine sweeps expired requests out of every batch
@@ -399,44 +399,30 @@ class BatchingEngine:
 
     # -- batching core ----------------------------------------------------
     def _take_batch(self, wait: bool):
-        """Pop the next micro-batch: same-kind prefix of the queue, up to
-        ``max_batch_size`` windows.
+        """Pop the next micro-batch: everything queued right now, as the
+        same-kind prefix of the queue up to ``max_batch_size`` windows,
+        in FIFO order.
 
         Requests whose deadline expired while queued are swept out first
         and failed with :class:`DeadlineExceeded` — a forward pass never
-        starts on an answer nobody is waiting for.  In waiting mode,
-        blocks until the batch is full, the oldest request exceeds the
-        max-wait deadline, the nearest request deadline is due, or stop
-        is requested (``None`` means: stopping and nothing left).
+        starts on an answer nobody is waiting for.  In waiting mode the
+        call blocks only while the queue is empty; it never holds queued
+        work back to let a batch fill (``None`` means: stopping and
+        nothing left).
         """
         max_windows = self.config.max_batch_size
-        deadline_s = self.config.max_wait_ms / 1e3
         expired: list[InferenceRequest] = []
         try:
             with self._wakeup:
-                if wait:
-                    while True:
-                        self._sweep_expired_locked(expired)
-                        if self._queue:
-                            now = time.perf_counter()
-                            oldest = self._queue[0].enqueued
-                            if (self._full_locked(max_windows)
-                                    or now - oldest >= deadline_s
-                                    or self._stopping):
-                                break
-                            remaining = deadline_s - (now - oldest)
-                            nearest = min((r.deadline_s for r in self._queue
-                                           if r.deadline_s is not None),
-                                          default=None)
-                            if nearest is not None:
-                                remaining = min(remaining, nearest - now)
-                            self._wakeup.wait(timeout=max(remaining, 1e-4))
-                        elif self._stopping:
-                            return None
-                        else:
-                            self._wakeup.wait()
-                else:
+                while True:
                     self._sweep_expired_locked(expired)
+                    # Swept requests resolve on return, not after the
+                    # next submit wakes this thread.
+                    if self._queue or expired or not wait:
+                        break
+                    if self._stopping:
+                        return None
+                    self._wakeup.wait()
                 if not self._queue:
                     return []
                 kind = self._queue[0].kind
@@ -472,17 +458,6 @@ class BatchingEngine:
         get_registry().counter(
             "serve_rejected_total", "Requests failed without a forward pass",
             labels=("reason",)).labels(reason="deadline").inc(len(expired))
-
-    def _full_locked(self, max_windows: int) -> bool:
-        kind = self._queue[0].kind
-        windows = 0
-        for request in self._queue:
-            if request.kind != kind:
-                return True  # a kind boundary closes the batch
-            windows += request.windows
-            if windows >= max_windows:
-                return True
-        return False
 
     def _process(self, batch: list[InferenceRequest]) -> None:
         """Run one coalesced micro-batch: cache lookups, a single forward

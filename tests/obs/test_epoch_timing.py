@@ -77,3 +77,47 @@ class TestOneEpochClock:
         assert len(logged) == 2
         for epoch in range(2):
             assert logged[epoch] == spans[epoch] == histogram[epoch]
+
+
+class TestOnePhaseClock:
+    """The pre-training phase is timed once too: the result's
+    ``wall_clock_seconds``, the run summary's and the ``pretrain``
+    span's ``span_end`` are one reading."""
+
+    @staticmethod
+    def _assert_one_reading(result):
+        loaded = Run.load(result.run_dir)
+        summary = loaded.manifest["summary"]["wall_clock_seconds"]
+        spans = [event["seconds"] for event in loaded.events
+                 if event["type"] == "span_end"
+                 and event["span"] == "pretrain"]
+        assert len(spans) == 1
+        assert isinstance(result.wall_clock_seconds, float)
+        assert result.wall_clock_seconds == summary == spans[0]
+
+    def test_in_process(self, tmp_path):
+        data = np.random.default_rng(11).standard_normal(
+            (48, 32, 2)).astype(np.float32)
+        self._assert_one_reading(run_pretrain(
+            TimeDRLConfig(**TINY), data, PretrainConfig(
+                epochs=2, batch_size=16, seed=0, telemetry=True,
+                run_root=str(tmp_path))))
+
+    def test_world_of_two(self, tmp_path):
+        from repro.distributed import DistributedConfig, pretrain_data_parallel
+
+        data = np.random.default_rng(11).standard_normal(
+            (48, 32, 2)).astype(np.float32)
+        self._assert_one_reading(pretrain_data_parallel(
+            TimeDRLConfig(**TINY), data, train_config=PretrainConfig(
+                epochs=2, batch_size=8, seed=0, telemetry=True,
+                run_root=str(tmp_path)),
+            distributed=DistributedConfig(world_size=2)))
+
+    def test_timed_with_telemetry_and_obs_off(self):
+        data = np.random.default_rng(11).standard_normal(
+            (48, 32, 2)).astype(np.float32)
+        result = run_pretrain(TimeDRLConfig(**TINY), data, PretrainConfig(
+            epochs=1, batch_size=16, seed=0))
+        assert isinstance(result.wall_clock_seconds, float)
+        assert result.wall_clock_seconds > 0

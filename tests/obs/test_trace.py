@@ -151,7 +151,7 @@ class TestEngineTracePropagation:
     def test_single_trace_id_across_threaded_engine(self, registry, loaded,
                                                     windows):
         """Client span → submit → worker-thread process: one trace_id."""
-        with BatchingEngine(loaded, BatchingConfig(max_wait_ms=0.5)) as engine:
+        with BatchingEngine(loaded, BatchingConfig()) as engine:
             with span("client.request") as client:
                 request = engine.submit(windows[:4], "encode")
                 request.result(timeout=10.0)
@@ -167,7 +167,7 @@ class TestEngineTracePropagation:
 
     def test_concurrent_requests_never_share_span_ids(self, registry, loaded,
                                                       windows):
-        with BatchingEngine(loaded, BatchingConfig(max_wait_ms=0.5)) as engine:
+        with BatchingEngine(loaded, BatchingConfig()) as engine:
             def client(offset):
                 with span("client.request", offset=offset):
                     engine.submit(windows[offset:offset + 2],

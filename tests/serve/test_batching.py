@@ -200,10 +200,62 @@ class TestValidationAndErrors:
                 request.result()
 
 
+class _RecordingCondition:
+    """Wraps an engine's condition: every ``wait`` records the queue
+    length it saw and the timeout it asked for."""
+
+    def __init__(self, engine):
+        self._engine = engine
+        self._condition = engine._wakeup
+        self.waits: list[tuple[int, float | None]] = []
+
+    def __enter__(self):
+        return self._condition.__enter__()
+
+    def __exit__(self, *exc):
+        return self._condition.__exit__(*exc)
+
+    def wait(self, timeout=None):
+        self.waits.append((len(self._engine._queue), timeout))
+        return self._condition.wait(timeout)
+
+    def notify(self, n=1):
+        self._condition.notify(n)
+
+    def notify_all(self):
+        self._condition.notify_all()
+
+
+class _BlockedForward:
+    """Holds the engine's first forward pass until ``release`` is set and
+    records, per forward, which submitted inputs it ran on."""
+
+    def __init__(self, engine, monkeypatch):
+        import threading
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.calls: list[list[np.ndarray]] = []
+        original = engine._forward
+
+        def forward(kind, inputs):
+            self.calls.append(list(inputs))
+            if len(self.calls) == 1:
+                self.entered.set()
+                assert self.release.wait(10.0)
+            return original(kind, inputs)
+
+        monkeypatch.setattr(engine, "_forward", forward)
+
+    def batches(self, requests):
+        """Each forward's inputs as indices into ``requests``."""
+        return [[next(i for i, r in enumerate(requests) if r.x is x)
+                 for x in inputs] for inputs in self.calls]
+
+
 class TestThreadedMode:
     def test_threaded_results_match_direct(self, loaded, windows):
         direct_ts, direct_inst = loaded.model.encode(windows)
-        config = BatchingConfig(max_batch_size=16, max_wait_ms=1.0)
+        config = BatchingConfig(max_batch_size=16)
         with BatchingEngine(loaded, config) as engine:
             requests = [engine.submit(chunk, "encode")
                         for chunk in _split(windows, [5, 16, 2, 25])]
@@ -214,12 +266,71 @@ class TestThreadedMode:
             np.concatenate([r[1] for r in results]), direct_inst)
 
     def test_stop_drains_queue(self, loaded, windows):
-        engine = BatchingEngine(loaded, BatchingConfig(max_wait_ms=50.0))
+        engine = BatchingEngine(loaded, BatchingConfig())
         engine.start()
         request = engine.submit(windows[:2], "encode")
         engine.stop()
         assert request.done()
         assert engine.windows_served >= 2
+
+    def test_no_timed_wait_with_work_queued(self, loaded, windows):
+        import time
+        engine = BatchingEngine(loaded)
+        recorder = engine._wakeup = _RecordingCondition(engine)
+        engine.start()
+        try:
+            deadline = time.monotonic() + 10.0
+            while not recorder.waits and time.monotonic() < deadline:
+                time.sleep(0.001)  # the worker blocks on the empty queue
+            engine.submit(windows[:1], "encode").result(10.0)
+        finally:
+            engine.close()
+        assert recorder.waits
+        assert all(depth == 0 for depth, _ in recorder.waits), recorder.waits
+        assert all(timeout is None for _, timeout in recorder.waits)
+
+    def test_free_batcher_takes_everything_queued(self, loaded, windows,
+                                                  monkeypatch):
+        engine = BatchingEngine(loaded, BatchingConfig(max_batch_size=3))
+        blocked = _BlockedForward(engine, monkeypatch)
+        engine.start()
+        try:
+            requests = [engine.submit(windows[:1], "encode")]
+            assert blocked.entered.wait(10.0)
+            requests += [engine.submit(windows[i:i + 1], "encode")
+                         for i in range(1, 5)]
+            blocked.release.set()
+            for request in requests:
+                request.result(10.0)
+        finally:
+            blocked.release.set()
+            engine.close()
+        # The three queued behind the forward go as one FIFO batch, the
+        # fourth is cut off by max_batch_size.
+        assert blocked.batches(requests) == [[0], [1, 2, 3], [4]]
+
+    def test_deadline_passes_behind_a_running_forward(self, loaded, windows,
+                                                      monkeypatch):
+        import time
+        from repro.serve import DeadlineExceeded
+        engine = BatchingEngine(loaded)
+        blocked = _BlockedForward(engine, monkeypatch)
+        engine.start()
+        try:
+            first = engine.submit(windows[:1], "encode")
+            assert blocked.entered.wait(10.0)
+            doomed = engine.submit(windows[1:2], "encode",
+                                   deadline_s=time.perf_counter() + 0.1)
+            time.sleep(0.2)
+            blocked.release.set()
+            first.result(10.0)
+            with pytest.raises(DeadlineExceeded) as caught:
+                doomed.result(10.0)
+        finally:
+            blocked.release.set()
+            engine.close()
+        assert caught.value.waited_ms >= 100.0
+        assert blocked.batches([first, doomed]) == [[0]]
 
     def test_start_is_idempotent(self, loaded, windows):
         engine = BatchingEngine(loaded)
@@ -280,7 +391,7 @@ class TestCloseSemantics:
                                                 monkeypatch):
         from repro.checkpoint.faults import SimulatedCrash
         engine = BatchingEngine(
-            loaded, BatchingConfig(max_batch_size=2, max_wait_ms=0.2))
+            loaded, BatchingConfig(max_batch_size=2))
         engine.start()
         original = engine._process
         tripped = []

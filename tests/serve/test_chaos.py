@@ -68,7 +68,7 @@ class TestWorkerCrash:
                                                    monkeypatch):
         gateway = ServingGateway(registry, "serving", GatewayConfig(
             breaker=None,
-            batching=BatchingConfig(max_batch_size=4, max_wait_ms=0.5)))
+            batching=BatchingConfig(max_batch_size=4)))
         gateway.start()
         engine = gateway._engine
         original = engine._process
@@ -97,7 +97,7 @@ class TestWorkerCrash:
                                                         monkeypatch):
         gateway = ServingGateway(registry, "serving", GatewayConfig(
             breaker=fast_breaker(),
-            batching=BatchingConfig(max_batch_size=2, max_wait_ms=0.2)))
+            batching=BatchingConfig(max_batch_size=2)))
         gateway.start()
         engine = gateway._engine
         original = engine._process
@@ -193,7 +193,7 @@ class TestDeadlineStorm:
                                                     monkeypatch):
         gateway = ServingGateway(registry, "serving", GatewayConfig(
             breaker=None, max_queue_windows=4096,
-            batching=BatchingConfig(max_batch_size=2, max_wait_ms=0.1)))
+            batching=BatchingConfig(max_batch_size=2)))
         loaded = registry.get("serving")
         original = loaded.model.encode
 
@@ -236,7 +236,7 @@ class TestCloseUnderLoad:
                                                              windows):
         gateway = ServingGateway(registry, "serving", GatewayConfig(
             breaker=None, max_queue_windows=4096,
-            batching=BatchingConfig(max_batch_size=4, max_wait_ms=0.5)))
+            batching=BatchingConfig(max_batch_size=4)))
         gateway.start()
         admitted = []
         lock = threading.Lock()

@@ -72,7 +72,7 @@ class TestEngineStats:
     def test_windows_served_exact_with_threaded_submitters(self, loaded,
                                                            windows):
         with BatchingEngine(loaded, BatchingConfig(
-                max_batch_size=8, max_wait_ms=0.5)) as engine:
+                max_batch_size=8)) as engine:
             def client(offset):
                 for start in range(0, 12, 2):
                     engine.submit(windows[start:start + 2],

@@ -220,7 +220,7 @@ class TestThreadedMode:
     def test_concurrent_submitters_all_resolve(self, registry, windows):
         gateway = ServingGateway(registry, "serving", GatewayConfig(
             max_queue_windows=4096,
-            batching=BatchingConfig(max_batch_size=16, max_wait_ms=1.0)))
+            batching=BatchingConfig(max_batch_size=16)))
         gateway.start()
         results, errors = [], []
         lock = threading.Lock()

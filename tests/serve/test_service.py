@@ -242,3 +242,11 @@ class TestCLI:
             main([*command, "--request-size", "0"])
         assert excinfo.value.code == 2
         assert "--request-size" in capsys.readouterr().err
+
+    def test_max_wait_flag_is_gone(self, capsys):
+        # Batching is work-conserving: there is no wait to configure.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--checkpoint", "unused", "--synthetic", "2",
+                  "--max-wait-ms", "2"])
+        assert excinfo.value.code == 2
+        assert "--max-wait-ms" in capsys.readouterr().err
