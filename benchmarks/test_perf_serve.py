@@ -24,10 +24,13 @@ sets over the same workload:
 
 Each set records throughput (windows/s) and per-request p50/p95 latency
 from the engine's own histograms — the numbers the latency report and
-telemetry surface in production.
+telemetry surface in production — and ``host_cpus``, the CPUs the
+process may run on, so a re-run can tell whether it is comparable with
+the committed rows.
 """
 
 import json
+import os
 import pathlib
 import time
 
@@ -45,6 +48,11 @@ OUTPUT_PATH = REPO_ROOT / "BENCH_serve.json"
 
 WORKLOAD = {"windows": 256, "seq_len": 64, "channels": 7,
             "request_size": 1, "max_batch_size": 32}
+
+
+def _row(**fields) -> dict:
+    """One measured row, stamped with the host's usable CPU count."""
+    return {**fields, "host_cpus": len(os.sched_getaffinity(0))}
 
 
 def _make_checkpoint(directory: pathlib.Path) -> pathlib.Path:
@@ -98,10 +106,10 @@ def _measure_suite(checkpoint_dir: pathlib.Path) -> dict:
         start = time.perf_counter()
         front.serve_windows(windows, request_size=WORKLOAD["request_size"])
         elapsed = time.perf_counter() - start
-        return {"windows_per_s": WORKLOAD["windows"] / elapsed,
-                "elapsed_s": elapsed,
-                "p50_ms": hist.percentile(50),
-                "p95_ms": hist.percentile(95)}
+        return _row(windows_per_s=WORKLOAD["windows"] / elapsed,
+                    elapsed_s=elapsed,
+                    p50_ms=hist.percentile(50),
+                    p95_ms=hist.percentile(95))
 
     cold = timed_pass(service)    # cache empty: every request misses
     warm = timed_pass(service)    # cache populated: every request hits
@@ -109,8 +117,8 @@ def _measure_suite(checkpoint_dir: pathlib.Path) -> dict:
     warm_nocache = timed_pass(nocache)
 
     return {
-        "direct": {"windows_per_s": WORKLOAD["windows"] / direct_s,
-                   "elapsed_s": direct_s},
+        "direct": _row(windows_per_s=WORKLOAD["windows"] / direct_s,
+                       elapsed_s=direct_s),
         "cold": cold,
         "warm": warm,
         "warm_nocache": warm_nocache,
@@ -154,8 +162,8 @@ def _measure_overload(checkpoint_dir: pathlib.Path) -> dict:
         engine.submit(x, "encode")
     engine.flush()
     hist = engine.latency["encode"]
-    baseline = {"served": OVERLOAD["requests"], "shed": 0,
-                "p50_ms": hist.percentile(50), "p99_ms": hist.percentile(99)}
+    baseline = _row(served=OVERLOAD["requests"], shed=0,
+                    p50_ms=hist.percentile(50), p99_ms=hist.percentile(99))
     engine.close()
 
     # The gateway front door: a flooding tenant and a light one (every
@@ -178,10 +186,11 @@ def _measure_overload(checkpoint_dir: pathlib.Path) -> dict:
                 gateway.flush()    # drain the admitted backlog, move on
         gateway.flush()
         hist = gateway._engine.latency["encode"]
-        gated = {"served": served, "shed": shed,
-                 "p50_ms": hist.percentile(50),
-                 "p99_ms": hist.percentile(99),
-                 "admitted_per_tenant": gateway.report()["admission"]["admitted"]}
+        gated = _row(served=served, shed=shed,
+                     p50_ms=hist.percentile(50),
+                     p99_ms=hist.percentile(99),
+                     admitted_per_tenant=gateway.report()["admission"][
+                         "admitted"])
     return {"no_gateway": baseline, "gateway": gated}
 
 

@@ -9,7 +9,7 @@ Classification (Table V): :class:`MHCCL`, :class:`CCL`, :class:`SimCLR`,
 :class:`BYOL`, :class:`TS2Vec`, :class:`TSTCC`, :class:`TLoss`.
 """
 
-from .base import ConvEncoder, EndToEndForecaster, FitConfig, SSLBaseline
+from .base import ConvEncoder, EndToEndForecaster, SSLBaseline
 from .byol import BYOL
 from .ccl import CCL
 from .clustering import assign_clusters, kmeans
@@ -47,7 +47,7 @@ CLASSIFICATION_BASELINES = {
 }
 
 __all__ = [
-    "FitConfig", "SSLBaseline", "EndToEndForecaster", "ConvEncoder",
+    "SSLBaseline", "EndToEndForecaster", "ConvEncoder",
     "SimTS", "TS2Vec", "TNC", "CoST", "InformerForecaster", "TCNForecaster",
     "MHCCL", "CCL", "SimCLR", "BYOL", "TSTCC", "TLoss",
     "kmeans", "assign_clusters",

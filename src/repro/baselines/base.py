@@ -18,32 +18,32 @@ head), end-to-end forecasters implement ``predict`` and reject ``encode``
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-
 import numpy as np
 
 from .. import nn
-from ..data.datasets import ForecastingData, ForecastingWindows
-from ..data.loader import batch_indices
+from ..core.config import PretrainConfig
+from ..core.pretrain import PretrainResult, _batch_fetcher, _run_loop, phase_run
+from ..data.datasets import ForecastingData
 from ..evaluation import metrics
 from ..nn import Tensor
 from ..serve.api import InferenceUnsupported
 
-__all__ = ["FitConfig", "SSLBaseline", "EndToEndForecaster", "ConvEncoder"]
+__all__ = ["SSLBaseline", "EndToEndForecaster", "ConvEncoder"]
 
 
-@dataclass
-class FitConfig:
-    """Optimisation settings shared by every baseline's ``fit``."""
-
-    epochs: int = 5
-    batch_size: int = 32
-    learning_rate: float = 1e-3
-    weight_decay: float = 1e-4
-    grad_clip: float = 5.0
-    max_batches_per_epoch: int | None = None
-    seed: int = 0
+def _fit(model, data, source, config: PretrainConfig, run, hooks, rng,
+         batch_loss, **callbacks) -> PretrainResult:
+    """Train a baseline on the one training loop, phase ``pretrain``:
+    AdamW over ``model.parameters()``, the batch ``source`` over
+    ``data``, loader generator ``rng`` and the scalar
+    ``batch_loss(batch)``."""
+    optimizer = nn.AdamW(model.parameters(), lr=config.learning_rate,
+                         weight_decay=config.weight_decay)
+    with phase_run(run, config, train_config=config, seed=config.seed,
+                   data=data, tags={"model": model.name}) as run:
+        return _run_loop(model, optimizer, rng, source,
+                         lambda batch: {"total": batch_loss(batch)},
+                         config, run, hooks=hooks, **callbacks)
 
 
 class ConvEncoder(nn.Module):
@@ -99,10 +99,6 @@ class SSLBaseline(nn.Module):
 
     name = "base"
 
-    def __init__(self):
-        super().__init__()
-        self.fit_seconds: float = 0.0
-
     # -- to be implemented by subclasses --------------------------------
     def loss(self, x: np.ndarray, rng: np.random.Generator) -> Tensor:
         raise NotImplementedError
@@ -119,36 +115,32 @@ class SSLBaseline(nn.Module):
         """Hook run after each optimizer step (BYOL updates its EMA target
         network here)."""
 
-    # -- shared training loop --------------------------------------------
-    def fit(self, data, config: FitConfig | None = None) -> "SSLBaseline":
-        """Pre-train on unlabeled windows/samples.
+    # -- training -------------------------------------------------------
+    def fit(self, data, config: PretrainConfig | None = None, run=None,
+            hooks=None) -> PretrainResult:
+        """Pre-train on unlabeled windows/samples with the one training
+        loop (:func:`repro.core.pretrain._run_loop`), as TimeDRL does.
 
         ``data`` is a :class:`ForecastingWindows` split or an ndarray of
-        samples ``(N, T, C)``.
+        samples ``(N, T, C)``.  ``config`` carries the schedule and the
+        run wiring, ``telemetry``/``run`` and ``checkpoint=`` included.
+        :meth:`loss` and :meth:`prepare_epoch` draw from the loop's loader
+        generator, which a checkpoint rewinds to an epoch start only, so
+        baselines checkpoint at epoch boundaries: ``every_n_batches`` is
+        a ``ValueError``.
         """
-        config = config or FitConfig()
-        self.train()
-        optimizer = nn.AdamW(self.parameters(), lr=config.learning_rate,
-                             weight_decay=config.weight_decay)
+        config = config or PretrainConfig()
+        if config.checkpoint is not None and config.checkpoint.every_n_batches:
+            raise ValueError(
+                f"{type(self).__name__} checkpoints at epoch boundaries only "
+                "(every_n_batches must be None): its loss draws from the "
+                "loader generator, so a mid-epoch resume would not replay "
+                "those draws")
         rng = np.random.default_rng(config.seed)
-        start = time.perf_counter()
-        for __ in range(config.epochs):
-            self.prepare_epoch(data, rng)
-            count = 0
-            for x in _iterate(data, config.batch_size, rng):
-                optimizer.zero_grad()
-                loss = self.loss(x, rng)
-                loss.backward()
-                if config.grad_clip:
-                    nn.clip_grad_norm(self.parameters(), config.grad_clip)
-                optimizer.step()
-                self.post_step()
-                count += 1
-                if config.max_batches_per_epoch and count >= config.max_batches_per_epoch:
-                    break
-        self.fit_seconds = time.perf_counter() - start
-        self.eval()
-        return self
+        return _fit(self, data, _batch_fetcher(data), config, run, hooks,
+                    rng, lambda x: self.loss(x, rng),
+                    on_epoch_start=lambda: self.prepare_epoch(data, rng),
+                    after_step=self.post_step)
 
     # -- unified inference API (repro.serve.api.InferenceAPI) -------------
     def encode(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -188,34 +180,22 @@ class EndToEndForecaster(nn.Module):
     def __init__(self, pred_len: int):
         super().__init__()
         self.pred_len = pred_len
-        self.fit_seconds: float = 0.0
 
-    def fit(self, data: ForecastingData, config: FitConfig | None = None
-            ) -> "EndToEndForecaster":
-        config = config or FitConfig()
-        self.train()
-        optimizer = nn.AdamW(self.parameters(), lr=config.learning_rate,
-                             weight_decay=config.weight_decay)
-        rng = np.random.default_rng(config.seed)
-        start = time.perf_counter()
-        for __ in range(config.epochs):
-            count = 0
-            for indices in batch_indices(len(data.train), config.batch_size, rng):
-                x, y = data.train.batch(indices)
-                mean, std = self._stats(x)
-                optimizer.zero_grad()
-                pred = self.forward(Tensor((x - mean) / std))
-                loss = nn.mse_loss(pred, Tensor((y - mean) / std))
-                loss.backward()
-                if config.grad_clip:
-                    nn.clip_grad_norm(self.parameters(), config.grad_clip)
-                optimizer.step()
-                count += 1
-                if config.max_batches_per_epoch and count >= config.max_batches_per_epoch:
-                    break
-        self.fit_seconds = time.perf_counter() - start
-        self.eval()
-        return self
+    def fit(self, data: ForecastingData, config: PretrainConfig | None = None,
+            run=None, hooks=None) -> PretrainResult:
+        """Train on ``data.train``'s (window, horizon) pairs with the one
+        training loop; ``config`` as in :meth:`SSLBaseline.fit`."""
+        config = config or PretrainConfig()
+        return _fit(self, data.train, (len(data.train), data.train.batch),
+                    config, run, hooks, np.random.default_rng(config.seed),
+                    lambda batch: self._batch_loss(*batch))
+
+    def _batch_loss(self, x: np.ndarray, y: np.ndarray) -> Tensor:
+        """MSE of the normalised forecast against the window-normalised
+        horizon."""
+        mean, std = self._stats(x)
+        pred = self.forward(Tensor((x - mean) / std))
+        return nn.mse_loss(pred, Tensor((y - mean) / std))
 
     def encode(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Supervised forecasters have no embedding space worth serving."""
@@ -256,13 +236,3 @@ class EndToEndForecaster(nn.Module):
         std = x.std(axis=1, keepdims=True) + self._EPS
         return mean, std
 
-
-def _iterate(data, batch_size: int, rng: np.random.Generator):
-    if isinstance(data, ForecastingWindows):
-        for indices in batch_indices(len(data), batch_size, rng):
-            x, __ = data.batch(indices)
-            yield x
-    else:
-        samples = np.asarray(data)
-        for indices in batch_indices(len(samples), batch_size, rng):
-            yield samples[indices]

@@ -29,11 +29,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import nn
-from ..core.config import TimeDRLConfig
+from ..core.config import PretrainConfig, TimeDRLConfig
 from ..core.encoder import TimeDRLEncoder
 from ..core.heads import InstanceContrastiveHead, TimestampPredictiveHead
 from ..core.model import TimeDRL
 from ..core.pooling import instance_dim, pool_instance
+from ..core.pretrain import _batch_fetcher, _run_loop
 from ..nn import Tensor
 from .errors import CompileError
 from .packing import COMPILABLE_BACKBONES
@@ -171,8 +172,10 @@ def run_distillation(teacher: TimeDRL, windows, config: DistillConfig
 
     The teacher is used in eval mode as a frozen embedding oracle; the
     student trains with its own dropout active (the usual distillation
-    regulariser).  ``log`` is an optional ``callable(str)`` for progress
-    lines (the CLI passes ``console_log``).
+    regulariser) on the one training loop
+    (:func:`repro.core.pretrain._run_loop`, phase ``distill``, no
+    gradient clipping).  ``log`` is an optional ``callable(str)`` for
+    the per-epoch progress lines (the CLI passes ``console_log``).
     """
     if config is None:
         config = DistillConfig()
@@ -189,44 +192,27 @@ def run_distillation(teacher: TimeDRL, windows, config: DistillConfig
     model = StudentModel(student_config, teacher)
     optimizer = nn.AdamW(model.trainable_parameters(),
                          lr=config.learning_rate)
-    rng = np.random.default_rng(config.seed)
-    history: list[dict] = []
-    n = windows.shape[0]
-    batch_size = max(1, min(config.batch_size, n))
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        sums = {"total": 0.0, "patch": 0.0, "instance": 0.0}
-        batches = 0
-        for start in range(0, n, batch_size):
-            xb = windows[order[start:start + batch_size]]
-            teacher_patch, teacher_inst = teacher.encode(xb)
-            model.train()
-            x_patched = model.encoder.prepare_input(xb)
-            z = model.encoder(x_patched)
-            z_i, z_t = model.encoder.split(z)
-            pooled = pool_instance(z_i, z_t, student_config.pooling)
-            loss_patch = nn.mse_loss(model.patch_proj(z_t),
-                                     Tensor(teacher_patch))
-            inst_pred = model.predictor(model.inst_proj(pooled))
-            loss_inst = nn.negative_cosine_similarity(
-                inst_pred, Tensor(teacher_inst))
-            total = loss_patch + loss_inst * config.lambda_weight
-            optimizer.zero_grad()
-            total.backward()
-            optimizer.step()
-            sums["total"] += float(total.data)
-            sums["patch"] += float(loss_patch.data)
-            sums["instance"] += float(loss_inst.data)
-            batches += 1
-        epoch_stats = {"epoch": epoch,
-                       **{k: v / batches for k, v in sums.items()}}
-        history.append(epoch_stats)
-        if log is not None:
-            log(f"distill epoch {epoch + 1}/{config.epochs}: "
-                f"total={epoch_stats['total']:.5f} "
-                f"patch={epoch_stats['patch']:.5f} "
-                f"instance={epoch_stats['instance']:.5f}")
-    model.eval()
+
+    def batch_loss(xb: np.ndarray) -> dict:
+        teacher_patch, teacher_inst = teacher.encode(xb)
+        z = model.encoder(model.encoder.prepare_input(xb))
+        z_i, z_t = model.encoder.split(z)
+        pooled = pool_instance(z_i, z_t, student_config.pooling)
+        loss_patch = nn.mse_loss(model.patch_proj(z_t), Tensor(teacher_patch))
+        inst_pred = model.predictor(model.inst_proj(pooled))
+        loss_inst = nn.negative_cosine_similarity(inst_pred,
+                                                  Tensor(teacher_inst))
+        return {"total": loss_patch + loss_inst * config.lambda_weight,
+                "patch": loss_patch, "instance": loss_inst}
+
+    schedule = PretrainConfig(epochs=config.epochs,
+                              batch_size=config.batch_size,
+                              learning_rate=config.learning_rate,
+                              grad_clip=0.0, seed=config.seed,
+                              verbose=log is not None)
+    history = _run_loop(model, optimizer, np.random.default_rng(config.seed),
+                        _batch_fetcher(windows), batch_loss, schedule,
+                        phase="distill", log=log).history
     return DistillResult(model=model, config=config,
                          student_config=student_config,
                          teacher_config=teacher.config, history=history)

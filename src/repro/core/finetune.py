@@ -18,33 +18,23 @@ the paper's use of instance normalisation + PatchTST conventions.
 
 from __future__ import annotations
 
-import pathlib
-from contextlib import closing
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .. import nn
-from ..checkpoint import (
-    CheckpointConfig,
-    CheckpointManager,
-    capture_state,
-    restore_state,
-    rng_state,
-)
+from ..checkpoint import CheckpointConfig
 from ..data.datasets import ClassificationData, ForecastingData, ForecastingWindows
-from ..data.loader import batch_indices
-from ..data.prefetch import prefetch as _prefetch_batches
 from ..evaluation import metrics
 from ..evaluation.classification import linear_probe_classification
 from ..evaluation.forecasting import RidgeProbe, collect_forecast_features, ridge_probe_forecasting
 from ..nn import Tensor
-from ..nn import profiler as _profiler
-from ..obs.metrics import enabled as _obs_enabled
 from ..telemetry import NULL_RUN
+from .config import PretrainConfig
 from .model import TimeDRL
 from .pooling import instance_dim, pool_instance
-from .pretrain import _observe_epoch
+from .pretrain import _run_loop
 
 __all__ = [
     "ForecastResult",
@@ -157,14 +147,38 @@ class _CheckpointBundle(nn.Module):
 
 
 class _OptimizerPair:
-    """Checkpoint adapter presenting the head/encoder optimizer duo as one
-    object following the ``Optimizer.state_dict`` conventions (top-level
-    ``slots`` mapping names to array lists) so it packs into checkpoint
-    archives unchanged."""
+    """The head/encoder optimizer duo as the one optimizer the training
+    loop steps, rolls back and checkpoints.
+
+    ``parameters`` lists the encoder's then the head's (the order the
+    gradient clip sums them in).  The state dict follows the
+    ``Optimizer.state_dict`` conventions (top-level ``slots`` mapping
+    names to array lists) so it packs into checkpoint archives
+    unchanged.
+    """
 
     def __init__(self, head: nn.Optimizer, encoder: nn.Optimizer):
         self.head = head
         self.encoder = encoder
+        self.parameters = encoder.parameters + head.parameters
+
+    def zero_grad(self) -> None:
+        self.head.zero_grad()
+        self.encoder.zero_grad()
+
+    def step(self) -> None:
+        self.head.step()
+        self.encoder.step()
+
+    @property
+    def lr(self) -> float:
+        return self.head.lr
+
+    @lr.setter
+    def lr(self, value: float) -> None:
+        # The encoder keeps its fixed fraction of the head's rate.
+        self.encoder.lr *= value / self.head.lr
+        self.head.lr = value
 
     def state_dict(self) -> dict:
         head, encoder = self.head.state_dict(), self.encoder.state_dict()
@@ -191,44 +205,6 @@ class _OptimizerPair:
             optimizer.load_state_dict(part)
 
 
-def _finetune_checkpoint_dir(checkpoint: CheckpointConfig, run,
-                             task: str) -> pathlib.Path:
-    """``<base>/<task>``: a session reuses one checkpoint config for
-    pre-training and fine-tuning, and the two must not share (or prune)
-    each other's checkpoints."""
-    if checkpoint.directory:
-        base = pathlib.Path(checkpoint.directory)
-    elif getattr(run, "directory", None):
-        base = pathlib.Path(run.directory) / "checkpoints"
-    else:
-        base = pathlib.Path("results/checkpoints")
-    return base / task
-
-
-def _finetune_checkpointing(checkpoint: CheckpointConfig | None, run, task,
-                            bundle, pair, rng):
-    """Open a manager and resume from the newest valid checkpoint if asked.
-
-    Returns ``(manager, start_epoch)``; fine-tuning checkpoints at epoch
-    boundaries, so the cursor is just the epoch count.  Restoring the
-    loader RNG (drawn from sequentially each epoch) plus parameters and
-    both optimizers makes the remaining epochs bit-identical.
-    """
-    if checkpoint is None:
-        return None, 0
-    manager = CheckpointManager(
-        _finetune_checkpoint_dir(checkpoint, run, task),
-        keep_last=checkpoint.keep_last, best_metric="loss", best_mode="min")
-    start_epoch = 0
-    if checkpoint.resume:
-        loaded = manager.load_latest()
-        if loaded is not None:
-            state, __ = loaded
-            restore_state(state, bundle, optimizer=pair, loader_rng=rng)
-            start_epoch = state.epoch
-    return manager, start_epoch
-
-
 class ForecastHead(nn.Module):
     """Linear head mapping flattened timestamp embeddings to the horizon."""
 
@@ -252,79 +228,41 @@ def _finetune(model: TimeDRL, head: nn.Module, task: str, n_train: int,
               fetch, batch_loss, rng: np.random.Generator, *,
               label_fraction: float, epochs: int, batch_size: int, lr: float,
               encoder_lr_scale: float, prefetch: bool, run,
-              checkpoint: CheckpointConfig | None, profile: bool):
-    """The one fine-tuning loop (Fig. 5), shared by both task families.
+              checkpoint: CheckpointConfig | None, profile: bool,
+              run_root: str | None):
+    """Fine-tuning (Fig. 5) for both task families, on the one training
+    loop (:func:`repro.core.pretrain._run_loop`, phase
+    ``finetune_<task>``).
 
-    It owns the head/encoder optimizer pair, checkpoint/resume and saves,
-    the epoch spans, prefetch (same batch order either way), the obs and
-    run metrics and the profiler.  The task supplies the ``head`` (already
-    drawn from ``rng``), ``fetch(indices) -> (x, y)`` over its ``n_train``
-    training samples and ``batch_loss(x, y) -> Tensor``.  The labelled
-    subset is drawn from ``rng`` after the head, then every epoch's batch
-    order.  Leaves the model in eval mode and returns the profiler
-    snapshot (``None`` unless ``profile``).
+    The task supplies the ``head`` (already drawn from ``rng``),
+    ``fetch(indices) -> (x, y)`` over its ``n_train`` training samples
+    and ``batch_loss(x, y) -> Tensor``.  The labelled subset is drawn
+    from ``rng`` after the head, then every epoch's batch order.  The
+    head and encoder step through one :class:`_OptimizerPair` and
+    checkpoint as one :class:`_CheckpointBundle`, at epoch boundaries
+    only, under ``<checkpoint dir>/finetune_<task>``.  Leaves the model
+    in eval mode and returns the profiler snapshot (``None`` unless
+    ``profile``).
     """
-    phase = f"finetune_{task}"
-    model.train()
-    params = model.encoder.parameters() + head.parameters()
     optimizer = nn.AdamW(head.parameters(), lr=lr, weight_decay=1e-3)
     encoder_optimizer = nn.AdamW(model.encoder.parameters(),
                                  lr=lr * encoder_lr_scale, weight_decay=1e-3)
     labelled = _label_subset(n_train, label_fraction, rng)
-    bundle = _CheckpointBundle(model, head)
-    pair = _OptimizerPair(optimizer, encoder_optimizer)
-    manager, start_epoch = _finetune_checkpointing(
-        checkpoint, run, phase, bundle, pair, rng)
-    obs_on = _obs_enabled()
-    track_loss = run.enabled or manager is not None or obs_on
-
-    def epoch_batches():
-        for batch in batch_indices(len(labelled), batch_size, rng):
-            yield fetch(labelled[batch])
-
-    if profile:
-        _profiler.enable()
-    for epoch in range(start_epoch, epochs):
-        loss_sum, loss_batches = 0.0, 0
-        # closing() joins the prefetch worker of an abandoned epoch.
-        with run.span("finetune_epoch", task=task, index=epoch) as span, \
-                closing(_prefetch_batches(epoch_batches(),
-                                          enabled=prefetch)) as batches:
-            for x, y in batches:
-                optimizer.zero_grad()
-                encoder_optimizer.zero_grad()
-                loss = batch_loss(x, y)
-                loss.backward()
-                grad_norm = nn.clip_grad_norm(params, 5.0)
-                optimizer.step()
-                encoder_optimizer.step()
-                if track_loss:
-                    loss_sum += float(loss.data)
-                    loss_batches += 1
-        mean_loss = loss_sum / loss_batches if loss_batches else None
-        if obs_on:
-            _observe_epoch(phase, loss_batches, span.seconds, mean_loss)
-        if run.enabled and mean_loss is not None:
-            run.log_epoch(epoch, loss=mean_loss, grad_norm=grad_norm,
-                          task=phase, epoch_seconds=span.seconds)
-        if manager is not None and ((epoch + 1) % checkpoint.every_n_epochs == 0
-                                    or epoch + 1 == epochs):
-            info = manager.save(
-                capture_state(bundle, pair, loader_rng_state=rng_state(rng),
-                              epoch=epoch + 1, global_step=epoch + 1),
-                metrics={"loss": float("nan") if mean_loss is None
-                         else mean_loss})
-            if run.enabled:
-                run.emit("checkpoint", action="saved", phase=phase,
-                         step=info.step, epoch=epoch + 1, file=info.path.name,
-                         sha256=info.sha256, size_bytes=info.size_bytes,
-                         best=info.is_best)
-    profile_stats = None
-    if profile:
-        _profiler.disable()
-        profile_stats = _profiler.snapshot()
-    model.eval()
-    return profile_stats
+    if checkpoint is not None:
+        checkpoint = dataclasses.replace(checkpoint, every_n_batches=None,
+                                         best_metric="total", best_mode="min")
+    config = PretrainConfig(epochs=epochs, batch_size=batch_size,
+                            learning_rate=lr, weight_decay=1e-3,
+                            prefetch=prefetch, profile=profile,
+                            run_root=run_root or PretrainConfig.run_root,
+                            checkpoint=checkpoint)
+    result = _run_loop(
+        _CheckpointBundle(model, head), _OptimizerPair(optimizer,
+                                                       encoder_optimizer),
+        rng, (len(labelled), lambda indices: fetch(labelled[indices])),
+        lambda batch: {"total": batch_loss(*batch)}, config, run,
+        phase=f"finetune_{task}")
+    return result.profile
 
 
 def run_finetune_forecasting(model: TimeDRL, data: ForecastingData,
@@ -334,7 +272,8 @@ def run_finetune_forecasting(model: TimeDRL, data: ForecastingData,
                              seed: int = 0, profile: bool = False,
                              prefetch: bool = False,
                              run=None,
-                             checkpoint: CheckpointConfig | None = None
+                             checkpoint: CheckpointConfig | None = None,
+                             run_root: str | None = None
                              ) -> ForecastResult:
     """Fig. 5 'TimeDRL (FT)': encoder + head trained on labelled windows.
 
@@ -350,7 +289,9 @@ def run_finetune_forecasting(model: TimeDRL, data: ForecastingData,
 
     ``checkpoint`` optionally saves the model+head+optimizer state at
     epoch boundaries (and with ``resume=True`` restarts from the newest
-    valid checkpoint, bit-identically at epoch granularity).
+    valid checkpoint, bit-identically at epoch granularity), under the
+    directory pre-training would use (``run_root`` is its last fallback)
+    plus ``finetune_forecasting``.
 
     ``prefetch=True`` stages each epoch's labelled batches through the
     background :class:`~repro.data.prefetch.PrefetchLoader`; batch order
@@ -386,7 +327,8 @@ def run_finetune_forecasting(model: TimeDRL, data: ForecastingData,
         model, head, "forecasting", len(data.train), data.train.batch,
         batch_loss, rng, label_fraction=label_fraction, epochs=epochs,
         batch_size=batch_size, lr=lr, encoder_lr_scale=encoder_lr_scale,
-        prefetch=prefetch, run=run, checkpoint=checkpoint, profile=profile)
+        prefetch=prefetch, run=run, checkpoint=checkpoint, profile=profile,
+        run_root=run_root)
 
     preds, truth = [], []
     for start in range(0, len(data.test), _CHUNK):
@@ -413,7 +355,8 @@ def run_finetune_classification(model: TimeDRL, data: ClassificationData,
                                 seed: int = 0, profile: bool = False,
                                 prefetch: bool = False,
                                 run=None,
-                                checkpoint: CheckpointConfig | None = None
+                                checkpoint: CheckpointConfig | None = None,
+                                run_root: str | None = None
                                 ) -> ClassificationResult:
     """Fig. 5 classification fine-tuning; see
     :func:`run_finetune_forecasting`."""
@@ -434,7 +377,7 @@ def run_finetune_classification(model: TimeDRL, data: ClassificationData,
         lambda x, y: nn.cross_entropy(logits(x), y), rng,
         label_fraction=label_fraction, epochs=epochs, batch_size=batch_size,
         lr=lr, encoder_lr_scale=encoder_lr_scale, prefetch=prefetch, run=run,
-        checkpoint=checkpoint, profile=profile)
+        checkpoint=checkpoint, profile=profile, run_root=run_root)
 
     with nn.no_grad():
         logit_chunks = [logits(data.x_test[start: start + _CHUNK]).data

@@ -1,4 +1,6 @@
-"""Self-supervised pre-training loop (paper Fig. 3a).
+"""Self-supervised pre-training (paper Fig. 3a) on the one training
+loop, :class:`_PretrainLoop`, which every baseline's ``fit``,
+fine-tuning and distillation also run (through :func:`_run_loop`).
 
 Works for both task families:
 
@@ -65,9 +67,9 @@ __all__ = ["PretrainResult", "run_pretrain", "iterate_pretrain_batches"]
 
 @dataclass
 class PretrainResult:
-    """Artifacts of a pre-training run."""
+    """Artifacts of a training run of the loop."""
 
-    model: TimeDRL
+    model: nn.Module
     history: list[dict[str, float]] = field(default_factory=list)
     wall_clock_seconds: float = 0.0
     profile: dict[str, dict[str, float]] | None = None  # op stats when profiled
@@ -83,7 +85,13 @@ class PretrainResult:
         return self.history[-1]["total"] if self.history else float("nan")
 
 
+# TimeDRL's loss terms, in the order a data-parallel rank's all-reduce
+# row carries them (repro.distributed.worker).
 _LOSS_KEYS = ("total", "predictive", "contrastive")
+
+
+def _noop() -> None:
+    pass
 
 
 def _batch_fetcher(data):
@@ -96,11 +104,9 @@ def _batch_fetcher(data):
     return len(samples), lambda indices: samples[indices]
 
 
-def iterate_pretrain_batches(data, batch_size: int, rng: np.random.Generator,
-                             max_batches: int | None = None, skip: int = 0):
-    """Yield raw input batches ``(B, T, C)`` from a
-    :class:`ForecastingWindows` split, an out-of-core
-    :class:`~repro.data.store.ShardedDataset`, or a plain sample array.
+def _batches(size: int, fetch, batch_size: int, rng: np.random.Generator,
+             max_batches: int | None = None, skip: int = 0):
+    """Yield ``fetch(indices)`` for one epoch's shuffled batches.
 
     ``skip`` drops the first N batches of the epoch *without fetching
     them* — the index permutation is still drawn identically from ``rng``,
@@ -108,7 +114,6 @@ def iterate_pretrain_batches(data, batch_size: int, rng: np.random.Generator,
     have.  Skipped batches count against ``max_batches`` (they were
     already consumed before the interruption).
     """
-    size, fetch = _batch_fetcher(data)
     count = 0
     for indices in batch_indices(size, batch_size, rng):
         if count >= skip:
@@ -116,6 +121,14 @@ def iterate_pretrain_batches(data, batch_size: int, rng: np.random.Generator,
         count += 1
         if max_batches is not None and count >= max_batches:
             return
+
+
+def iterate_pretrain_batches(data, batch_size: int, rng: np.random.Generator,
+                             max_batches: int | None = None, skip: int = 0):
+    """:func:`_batches` of raw inputs ``(B, T, C)`` from a
+    :class:`ForecastingWindows` split, an out-of-core
+    :class:`~repro.data.store.ShardedDataset`, or a plain sample array."""
+    return _batches(*_batch_fetcher(data), batch_size, rng, max_batches, skip)
 
 
 def _profiler_alloc_bytes() -> float:
@@ -130,34 +143,12 @@ class _Rollback(Exception):
 def _local_reduce(params, losses, rows):
     """The in-process gradient reducer: the gradients stay where backward
     left them; only the loss values are read out."""
-    return {key: float(losses[key].data) for key in _LOSS_KEYS}, rows
-
-
-def _observe_epoch(phase: str, steps: int, seconds: float,
-                   last_loss: float | None) -> None:
-    """Publish one training epoch of ``phase`` into the obs registry.
-
-    ``seconds`` is the epoch span's reading; callers gate on obs being
-    enabled, sampled before the epoch, so the disabled path never times.
-    """
-    registry = obs_registry()
-    registry.counter("train_steps_total", "Optimizer steps taken",
-                     labels=("phase",)).labels(phase=phase).inc(steps)
-    registry.counter("train_epochs_total", "Epochs completed",
-                     labels=("phase",)).labels(phase=phase).inc()
-    registry.histogram("train_epoch_seconds", "Wall-clock per epoch",
-                       labels=("phase",),
-                       buckets=(0.01, 0.1, 0.5, 1, 5, 30, 60, 300,
-                                1800, 7200)).labels(
-        phase=phase).observe(seconds)
-    if last_loss is not None:
-        registry.gauge("train_last_loss",
-                       "Most recent epoch's mean total loss").set(last_loss)
+    return {key: float(value.data) for key, value in losses.items()}, rows
 
 
 class _Reporter:
     """Where the loop's records go: the telemetry run, the obs registry
-    and the console.
+    and the console (or the caller's ``log``).
 
     A data-parallel rank reports through a forwarder instead
     (:mod:`repro.distributed.worker`); the coordinator replays each
@@ -165,28 +156,52 @@ class _Reporter:
     paths record through this code.
     """
 
-    def __init__(self, run):
-        self.run = run
+    def __init__(self, run, log=console_log):
         self.enabled = run.enabled
         self.emit = run.emit
         self.span = run.span
         self.log_step = run.log_step
         self.log_epoch = run.log_epoch
+        self.log = log
 
     @property
     def obs_on(self) -> bool:
         return obs_enabled()
 
     @staticmethod
-    def log(text: str) -> None:
-        console_log(text)
+    def observe_epoch(phase: str, steps: int, seconds: float,
+                      last_loss: float) -> None:
+        """Publish one training epoch of ``phase`` into the obs registry.
 
-    observe_epoch = staticmethod(_observe_epoch)
+        ``seconds`` is the epoch span's reading; the loop calls this only
+        when obs was enabled before the epoch, so the disabled path never
+        times.
+        """
+        registry = obs_registry()
+        registry.counter("train_steps_total", "Optimizer steps taken",
+                         labels=("phase",)).labels(phase=phase).inc(steps)
+        registry.counter("train_epochs_total", "Epochs completed",
+                         labels=("phase",)).labels(phase=phase).inc()
+        registry.histogram("train_epoch_seconds", "Wall-clock per epoch",
+                           labels=("phase",),
+                           buckets=(0.01, 0.1, 0.5, 1, 5, 30, 60, 300,
+                                    1800, 7200)).labels(
+            phase=phase).observe(seconds)
+        registry.gauge("train_last_loss",
+                       "Most recent epoch's mean total loss").set(last_loss)
 
 
 class _PretrainLoop:
-    """The resumable pre-training loop, in process and in every
+    """The one resumable training loop, in process and in every
     data-parallel rank.
+
+    It steps ``optimizer`` (``parameters``, ``zero_grad``, ``step``,
+    ``lr``, a state dict) on ``batch_loss(batch)["total"]`` over the
+    batches ``source = (n, fetch)`` yields (an input array, or a tuple
+    led by one), shuffled by the loader generator ``rng``.  ``phase``
+    names its metrics, records and console lines.  ``on_epoch_start()``
+    runs before each epoch's permutation is drawn, ``after_step()``
+    after each optimizer step.
 
     Cursor model: ``(epoch, batch_in_epoch, global_step)`` plus the loader
     RNG state *as of the start of the current epoch*.  ``batch_indices``
@@ -195,26 +210,32 @@ class _PretrainLoop:
     batches replays the interrupted epoch bit-identically.
 
     One step: forward → ``on_loss`` → backward → ``on_after_backward`` →
-    ``reduce`` → loss check → clip → gradient check → optimizer step.
-    Two seams adapt the loop to a data-parallel rank; neither is a user
-    option.  ``reduce(params, losses, rows)`` returns the step's loss
-    values and global batch rows: in process it only reads the losses
-    out, in a rank it all-reduces the gradients.  ``report`` receives
-    every record: a :class:`_Reporter` in process, a forwarder in a rank.
-    A rank other than 0 restores checkpoints but never writes them.
+    ``reduce`` → loss check → clip → gradient check → optimizer step →
+    ``after_step``.  Two seams adapt the loop to a data-parallel rank;
+    neither is a user option.  ``reduce(params, losses, rows)`` returns
+    the step's loss values and global batch rows: in process it only
+    reads the losses out, in a rank it all-reduces the gradients.
+    ``report`` receives every record: a :class:`_Reporter` in process, a
+    forwarder in a rank.  A rank other than 0 restores checkpoints but
+    never writes them.
     """
 
-    def __init__(self, model_config, data, train_config, report, hooks=None,
+    def __init__(self, model, optimizer, rng, source, batch_loss,
+                 train_config, report, phase: str = "pretrain",
+                 on_epoch_start=_noop, after_step=_noop, hooks=None,
                  checkpoint_dir=None, extra_meta=None, reduce=_local_reduce,
                  rank: int = 0):
-        self.model = TimeDRL(model_config)
+        self.model = model
         self.model.train()
-        self.params = self.model.parameters()
-        self.optimizer = nn.AdamW(self.params, lr=train_config.learning_rate,
-                                  weight_decay=train_config.weight_decay)
-        self.rng = np.random.default_rng(train_config.seed)
+        self.optimizer = optimizer
+        self.params = optimizer.parameters
+        self.rng = rng
+        self.size, self.fetch = source
+        self.batch_loss = batch_loss
+        self.phase = phase
+        self.on_epoch_start = on_epoch_start
+        self.after_step = after_step
         self.history: list[dict[str, float]] = []
-        self.data = data
         self.train_config = train_config
         self.report = report
         self.hooks = hooks
@@ -267,8 +288,8 @@ class _PretrainLoop:
                              step=state.global_step, epoch=state.epoch,
                              batch=state.batch_in_epoch)
         if self.train_config.verbose:
-            self.report.log(f"[pretrain] resuming from step {state.global_step} "
-                            f"(epoch {state.epoch}, "
+            self.report.log(f"[{self.phase}] resuming from step "
+                            f"{state.global_step} (epoch {state.epoch}, "
                             f"batch {state.batch_in_epoch})")
         return state.global_step
 
@@ -310,8 +331,9 @@ class _PretrainLoop:
                              lr=float(self.optimizer.lr),
                              recoveries=self.recovery.recoveries)
         if self.train_config.verbose:
-            self.report.log(f"[pretrain] rolled back to step {state.global_step} "
-                            f"(epoch {state.epoch}, batch {state.batch_in_epoch}), "
+            self.report.log(f"[{self.phase}] rolled back to step "
+                            f"{state.global_step} (epoch {state.epoch}, "
+                            f"batch {state.batch_in_epoch}), "
                             f"lr={self.optimizer.lr:.2e}")
 
     # -- driving --------------------------------------------------------
@@ -362,26 +384,30 @@ class _PretrainLoop:
             sums, batches, samples = self.pending
             self.pending = None
         else:
-            sums = dict.fromkeys(_LOSS_KEYS, 0.0)
+            sums = {}
             batches = 0
             samples = 0
         batch_in_epoch = skip
 
-        source = iterate_pretrain_batches(self.data, cfg.batch_size, self.rng,
-                                          cfg.max_batches_per_epoch, skip=skip)
+        # Before the source exists: a prefetch worker draws the epoch's
+        # permutation as soon as it starts.
+        self.on_epoch_start()
+        source = _batches(self.size, self.fetch, cfg.batch_size, self.rng,
+                          cfg.max_batches_per_epoch, skip=skip)
         if cfg.prefetch:
             # Double-buffered: the worker gathers batch k+1 while the
             # step below runs on batch k.  FIFO order keeps the epoch
             # bit-identical to the unprefetched path.
             source = self.active_loader = PrefetchLoader(
                 source, depth=cfg.prefetch_depth)
-        with self.report.span("epoch", index=epoch) as span:
-            for x in source:
+        with self.report.span("epoch", index=epoch, task=self.phase) as span:
+            for batch in source:
                 step = self.global_step
                 self.optimizer.zero_grad()
                 losses = None
-                if len(x):  # a data-parallel rank may own no rows of a batch
-                    losses = self.model.pretraining_losses(x)
+                rows = len(batch[0] if isinstance(batch, tuple) else batch)
+                if rows:  # a data-parallel rank may own no rows of a batch
+                    losses = self.batch_loss(batch)
                     if self.hooks is not None:
                         self.hooks.on_loss(losses, epoch, batch_in_epoch, step)
                     losses["total"].backward()
@@ -390,7 +416,7 @@ class _PretrainLoop:
                                                      batch_in_epoch, step)
                 # Recovery decisions below read the reduced values, so every
                 # data-parallel replica takes the same action at the same step.
-                values, rows = self.reduce(self.params, losses, len(x))
+                values, rows = self.reduce(self.params, losses, rows)
                 if self.recovery is not None:
                     action = self.recovery.check_loss(values["total"], epoch,
                                                       batch_in_epoch, step)
@@ -421,8 +447,9 @@ class _PretrainLoop:
                         grad_norm = grad_global_norm(self.params)
                     self.meter.snapshot()
                 self.optimizer.step()
-                for key in sums:
-                    sums[key] += values[key]
+                self.after_step()
+                for key, value in values.items():
+                    sums[key] = sums.get(key, 0.0) + value
                 if log_step:
                     self.report.log_step(step, **values, grad_norm=grad_norm,
                                          update_ratio=self.meter.ratio())
@@ -440,12 +467,12 @@ class _PretrainLoop:
 
         self._close_loader()
         if batches == 0:
-            raise ValueError("pre-training data yielded no batches")
+            raise ValueError(f"{self.phase} data yielded no batches")
         epoch_stats = {key: value / batches for key, value in sums.items()}
         epoch_stats["epoch"] = float(epoch)
         self.history.append(epoch_stats)
         if obs_on:
-            self.report.observe_epoch("pretrain", batches, span.seconds,
+            self.report.observe_epoch(self.phase, batches, span.seconds,
                                       epoch_stats["total"])
         if telemetry_on:
             seconds = span.seconds
@@ -458,12 +485,10 @@ class _PretrainLoop:
                 alloc_now = _profiler_alloc_bytes()
                 epoch_metrics["alloc_mb"] = (alloc_now - self._alloc_before) / 1e6
                 self._alloc_before = alloc_now
-            self.report.log_epoch(epoch, **epoch_metrics)
+            self.report.log_epoch(epoch, task=self.phase, **epoch_metrics)
         if cfg.verbose:
-            self.report.log(f"[pretrain] epoch {epoch}: "
-                            f"total={epoch_stats['total']:.4f} "
-                            f"P={epoch_stats['predictive']:.4f} "
-                            f"C={epoch_stats['contrastive']:.4f}")
+            self.report.log(f"[{self.phase}] epoch {epoch}: " + " ".join(
+                f"{key}={epoch_stats[key]:.4f}" for key in sums))
         if self.recovery is not None:
             action = self.recovery.check_epoch(epoch_stats["total"], epoch)
             if action == "rollback":
@@ -476,7 +501,8 @@ class _PretrainLoop:
             self._save(0, {}, 0, 0, metrics=epoch_stats, at_epoch_start=True)
 
 
-def _resolve_checkpoint_dir(ckpt_cfg, train_config, run) -> pathlib.Path:
+def _resolve_checkpoint_dir(ckpt_cfg, train_config, run,
+                            phase: str = "pretrain") -> pathlib.Path:
     """Pick the checkpoint directory.  Precedence, highest first:
 
     1. an explicit ``CheckpointConfig.directory`` — ALWAYS wins, even
@@ -488,6 +514,11 @@ def _resolve_checkpoint_dir(ckpt_cfg, train_config, run) -> pathlib.Path:
        keeps a run's artifacts in one place;
     3. the configured ``train_config.run_root`` → ``<run_root>/checkpoints``
        (no telemetry, no explicit directory).
+
+    Any phase but pre-training checkpoints into a ``<phase>``
+    subdirectory of that: a session reuses one checkpoint config for
+    pre-training and fine-tuning, and the two must not share (or prune)
+    each other's checkpoints.
 
     The choice is recorded as a ``checkpoint`` telemetry event
     (``action="dir_resolved"``) so a surprising precedence outcome is
@@ -501,6 +532,8 @@ def _resolve_checkpoint_dir(ckpt_cfg, train_config, run) -> pathlib.Path:
     else:
         chosen = pathlib.Path(train_config.run_root) / "checkpoints"
         source = "run_root"
+    if phase != "pretrain":
+        chosen = chosen / phase
     if getattr(run, "enabled", False):
         run.emit("checkpoint", action="dir_resolved", source=source,
                  directory=str(chosen),
@@ -611,6 +644,78 @@ def phase_run(run, wiring: PretrainConfig, **manifest):
     run.finish("completed")
 
 
+def _phase_span(run, phase: str, train_config: PretrainConfig, **attrs):
+    """One clock for the phase, read by the run's ``span_end``, the
+    summary and the result; it times with telemetry and obs off too."""
+    attrs = {"epochs": train_config.epochs,
+             "batch_size": train_config.batch_size, **attrs}
+    return (run.span(phase, **attrs) if run.enabled
+            else obs_trace.Span(f"run/{phase}", attrs))
+
+
+def _finish(run, model, history, seconds: float, **fields) -> PretrainResult:
+    """Summarise the phase, leave ``model`` in eval mode, wrap up."""
+    if run.enabled and history:
+        run.log_summary(**{f"final_{key}": value
+                           for key, value in history[-1].items()
+                           if key != "epoch"},
+                        epochs=len(history), wall_clock_seconds=seconds)
+    model.eval()
+    return PretrainResult(
+        model=model, history=history, wall_clock_seconds=seconds,
+        run_id=run.run_id,
+        run_dir=str(run.directory) if run.directory is not None else None,
+        **fields)
+
+
+def _run_loop(model, optimizer, rng, source, batch_loss,
+              train_config: PretrainConfig, run=NULL_RUN, *,
+              phase: str = "pretrain", on_epoch_start=_noop,
+              after_step=_noop, hooks=None, extra_meta=None,
+              log=console_log) -> PretrainResult:
+    """Train ``model`` in process with :class:`_PretrainLoop` inside an
+    open ``run`` (see :func:`phase_run`), ``train_config`` supplying the
+    schedule and run wiring and ``log`` taking the verbose lines."""
+    ckpt = train_config.checkpoint
+    checkpoint_dir = resumed_from_step = None
+    if ckpt is not None:
+        checkpoint_dir = _resolve_checkpoint_dir(ckpt, train_config, run,
+                                                 phase)
+    loop = _PretrainLoop(model, optimizer, rng, source, batch_loss,
+                         train_config, _Reporter(run, log), phase=phase,
+                         on_epoch_start=on_epoch_start, after_step=after_step,
+                         hooks=hooks, checkpoint_dir=checkpoint_dir,
+                         extra_meta=extra_meta)
+    if ckpt is not None and ckpt.resume:
+        resumed_from_step = loop.resume_latest()
+    if train_config.profile:
+        profiler.enable()
+    span = _phase_span(run, phase, train_config)
+    with span:
+        loop.run_all()
+    profile = None
+    if train_config.profile:
+        profiler.disable()
+        profile = profiler.snapshot()
+        if train_config.verbose:
+            log(f"[{phase}] op profile:")
+            log(format_profile(profile, limit=20))
+    return _finish(run, model, loop.history, span.seconds, profile=profile,
+                   checkpoint_dir=(str(checkpoint_dir)
+                                   if checkpoint_dir is not None else None),
+                   resumed_from_step=resumed_from_step)
+
+
+def _timedrl_loop_inputs(model_config: TimeDRLConfig, data,
+                         train_config: PretrainConfig):
+    """TimeDRL's model, optimizer, loader generator, source and loss."""
+    model = TimeDRL(model_config)
+    optimizer = nn.AdamW(model.parameters(), lr=train_config.learning_rate,
+                         weight_decay=train_config.weight_decay)
+    return (model, optimizer, np.random.default_rng(train_config.seed),
+            _batch_fetcher(data), model.pretraining_losses)
+
+
 def _run_pretrain(model_config, data, train_config, run, hooks,
                   dist) -> PretrainResult:
     """The one pre-training driver: resolve the data, open the run, train
@@ -627,73 +732,32 @@ def _run_pretrain(model_config, data, train_config, run, hooks,
                    train_config=train_config, seed=train_config.seed,
                    data=data) as run:
         ckpt_cfg = train_config.checkpoint
-        checkpoint_dir = extra_meta = None
+        extra_meta = None
+        if ckpt_cfg is not None:
+            extra_meta = _checkpoint_extra_meta(model_config, train_config,
+                                                ckpt_cfg, spec, data, dist)
+        if dist is None:
+            return _run_loop(
+                *_timedrl_loop_inputs(model_config, data, train_config),
+                train_config, run, hooks=hooks, extra_meta=extra_meta)
+
+        from ..distributed.coordinator import train_group
+
+        checkpoint_dir = None
         if ckpt_cfg is not None:
             checkpoint_dir = _resolve_checkpoint_dir(ckpt_cfg, train_config,
                                                      run)
-            extra_meta = _checkpoint_extra_meta(model_config, train_config,
-                                                ckpt_cfg, spec, data, dist)
-
-        span = {"epochs": train_config.epochs,
-                "batch_size": train_config.batch_size}
-        resumed_from_step = None
-        restarts = 0
-        if dist is None:
-            loop = _PretrainLoop(model_config, data, train_config,
-                                 _Reporter(run), hooks=hooks,
-                                 checkpoint_dir=checkpoint_dir,
-                                 extra_meta=extra_meta)
-            if ckpt_cfg is not None and ckpt_cfg.resume:
-                resumed_from_step = loop.resume_latest()
-            if train_config.profile:
-                profiler.enable()
-        else:
-            span["world_size"] = dist.world_size
-
-        # One clock for the phase: the run's span_end, the summary and
-        # the result all read this span, which times with telemetry and
-        # obs off too.
-        phase = (run.span("pretrain", **span) if run.enabled
-                 else obs_trace.Span("run/pretrain", span))
-        with phase:
-            if dist is None:
-                loop.run_all()
-            else:
-                from ..distributed.coordinator import train_group
-
-                group = train_group(model_config, data, train_config, dist,
-                                    run, hooks, checkpoint_dir, extra_meta)
-        elapsed = phase.seconds
-
-        profile = None
-        if dist is None:
-            model, history = loop.model, loop.history
-            if train_config.profile:
-                profiler.disable()
-                profile = profiler.snapshot()
-                if train_config.verbose:
-                    console_log("[pretrain] op profile:")
-                    console_log(format_profile(profile, limit=20))
-        else:
-            model = TimeDRL(model_config)
-            model.load_state_dict(group["model_state"], strict=True)
-            history = group["history"]
-            resumed_from_step = group["resumed_from_step"]
-            restarts = group["restarts"]
-        if run.enabled and history:
-            run.log_summary(final_total=history[-1]["total"],
-                            final_predictive=history[-1]["predictive"],
-                            final_contrastive=history[-1]["contrastive"],
-                            epochs=len(history),
-                            wall_clock_seconds=elapsed)
-        model.eval()
-        return PretrainResult(
-            model=model, history=history, wall_clock_seconds=elapsed,
-            profile=profile, run_id=run.run_id,
-            run_dir=(str(run.directory)
-                     if run.directory is not None else None),
-            checkpoint_dir=(str(checkpoint_dir)
-                            if checkpoint_dir is not None else None),
-            resumed_from_step=resumed_from_step,
-            world_size=dist.world_size if dist else 1,
-            worker_restarts=restarts)
+        span = _phase_span(run, "pretrain", train_config,
+                           world_size=dist.world_size)
+        with span:
+            group = train_group(model_config, data, train_config, dist,
+                                run, hooks, checkpoint_dir, extra_meta)
+        model = TimeDRL(model_config)
+        model.load_state_dict(group["model_state"], strict=True)
+        return _finish(run, model, group["history"], span.seconds,
+                       checkpoint_dir=(str(checkpoint_dir)
+                                       if checkpoint_dir is not None
+                                       else None),
+                       resumed_from_step=group["resumed_from_step"],
+                       world_size=dist.world_size,
+                       worker_restarts=group["restarts"])

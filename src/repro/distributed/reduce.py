@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.pretrain import _LOSS_KEYS
+
 __all__ = ["SharedAllReduce"]
 
-# Per-rank stats row: [weight, total, predictive, contrastive].
-_STATS = 4
-_LOSS_KEYS = ("total", "predictive", "contrastive")
+# Per-rank stats row: [weight, *the loop's TimeDRL loss terms].
+_STATS = 1 + len(_LOSS_KEYS)
 
 
 class SharedAllReduce:

@@ -39,7 +39,12 @@ from dataclasses import dataclass
 
 from ..checkpoint import TrainingAborted
 from ..core.config import PretrainConfig, TimeDRLConfig
-from ..core.pretrain import _LOSS_KEYS, _batch_fetcher, _PretrainLoop
+from ..core.pretrain import (
+    _LOSS_KEYS,
+    _batch_fetcher,
+    _PretrainLoop,
+    _timedrl_loop_inputs,
+)
 from ..data.store import resolve_data_source
 from ..nn import tensor as _tensor
 from ..obs import trace as obs_trace
@@ -169,8 +174,9 @@ def run_worker(task: WorkerTask, reducer: SharedAllReduce, heartbeats,
         data = _Shard(resolve_data_source(task.data), task.shard_start,
                       task.shard_stop)
         cfg = task.train_config
-        loop = _PretrainLoop(task.model_config, data, cfg, rank,
-                             hooks=task.hooks,
+        loop = _PretrainLoop(*_timedrl_loop_inputs(task.model_config, data,
+                                                   cfg),
+                             cfg, rank, hooks=task.hooks,
                              checkpoint_dir=task.checkpoint_dir,
                              extra_meta=task.extra_meta, reduce=rank.reduce,
                              rank=task.rank)

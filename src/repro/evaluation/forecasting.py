@@ -41,7 +41,9 @@ class ForecastScores:
 
 class RidgeProbe:
     """Closed-form ridge regression with an unpenalised bias column —
-    the exact minimiser of the linear probe's regularised MSE objective."""
+    the exact minimiser of the linear probe's regularised MSE objective.
+    Solved in float64: with more features than windows, a float32 Gram
+    matrix is mostly round-off."""
 
     def __init__(self, alpha: float = 1.0):
         if alpha < 0:
@@ -50,20 +52,24 @@ class RidgeProbe:
         self.weights_: np.ndarray | None = None
 
     def fit(self, features: np.ndarray, targets: np.ndarray) -> "RidgeProbe":
-        x = np.concatenate(
-            [features, np.ones((len(features), 1), dtype=features.dtype)], axis=1)
+        x = _with_bias(features)
         gram = x.T @ x
-        regulariser = self.alpha * np.eye(gram.shape[0], dtype=gram.dtype)
+        regulariser = self.alpha * np.eye(gram.shape[0])
         regulariser[-1, -1] = 0.0
-        self.weights_ = np.linalg.solve(gram + regulariser, x.T @ targets)
+        self.weights_ = np.linalg.solve(
+            gram + regulariser, x.T @ np.asarray(targets, dtype=np.float64))
         return self
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         if self.weights_ is None:
             raise RuntimeError("RidgeProbe used before fit()")
-        x = np.concatenate(
-            [features, np.ones((len(features), 1), dtype=features.dtype)], axis=1)
-        return x @ self.weights_
+        return _with_bias(features) @ self.weights_
+
+
+def _with_bias(features: np.ndarray) -> np.ndarray:
+    """``features`` in float64 with a trailing column of ones."""
+    features = np.asarray(features, dtype=np.float64)
+    return np.concatenate([features, np.ones((len(features), 1))], axis=1)
 
 
 def _window_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 import pathlib
 
-from ..baselines import CLASSIFICATION_BASELINES, FitConfig
+from ..baselines import CLASSIFICATION_BASELINES
 from ..checkpoint import CheckpointConfig
 from ..core import (
     PretrainConfig,
@@ -103,9 +103,10 @@ def run_classification_method(method: str, dataset: str, data: ClassificationDat
     elif method in CLASSIFICATION_BASELINES:
         model = CLASSIFICATION_BASELINES[method](
             in_channels=data.n_features, d_model=preset.d_model, seed=seed)
-        model.fit(data.x_train, FitConfig(
+        model.fit(data.x_train, PretrainConfig(
             epochs=preset.classify_pretrain_epochs, batch_size=preset.batch_size,
-            max_batches_per_epoch=preset.max_batches, seed=seed))
+            weight_decay=1e-4, max_batches_per_epoch=preset.max_batches,
+            seed=seed))
         scores = linear_probe_classification(lambda x: model.encode(x)[1], data,
                                              epochs=preset.probe_epochs, seed=seed)
     else:

@@ -23,7 +23,6 @@ import numpy as np
 from ..baselines import (
     END_TO_END_FORECASTERS,
     FORECASTING_SSL_BASELINES,
-    FitConfig,
 )
 from ..checkpoint import CheckpointConfig
 from ..core import (
@@ -144,9 +143,10 @@ def run_forecasting_method(method: str, prepared: dict, preset: ScalePreset,
     if method in FORECASTING_SSL_BASELINES:
         model = FORECASTING_SSL_BASELINES[method](
             in_channels=n_features, d_model=preset.d_model, seed=seed)
-        model.fit(first_data.train, FitConfig(
+        model.fit(first_data.train, PretrainConfig(
             epochs=preset.pretrain_epochs, batch_size=preset.batch_size,
-            max_batches_per_epoch=preset.max_batches, seed=seed))
+            weight_decay=1e-4, max_batches_per_epoch=preset.max_batches,
+            seed=seed))
         for horizon, data in horizons.items():
             scores = ridge_probe_forecasting(
                 lambda x: model.encode(x)[0].reshape(len(x), -1), data)
@@ -163,9 +163,10 @@ def run_forecasting_method(method: str, prepared: dict, preset: ScalePreset,
                 model = END_TO_END_FORECASTERS[method](
                     in_channels=n_features, pred_len=horizon,
                     d_model=preset.d_model, seed=seed)
-            model.fit(data, FitConfig(
+            model.fit(data, PretrainConfig(
                 epochs=preset.pretrain_epochs, batch_size=preset.batch_size,
-                max_batches_per_epoch=preset.max_batches, seed=seed))
+                weight_decay=1e-4, max_batches_per_epoch=preset.max_batches,
+                seed=seed))
             results[horizon] = model.evaluate(data)
         return results
 

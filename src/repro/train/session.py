@@ -190,7 +190,8 @@ class TrainSession:
                 profile=wiring.profile,
                 prefetch=wiring.prefetch,
                 run=run,
-                checkpoint=wiring.checkpoint)
+                checkpoint=wiring.checkpoint,
+                run_root=wiring.run_root)
         self.last_result = result
         return result
 

@@ -1,12 +1,13 @@
-"""Tests for the baseline base classes (shared training loop, hooks)."""
+"""Tests for the baseline base classes (the training loop's hooks and
+caps as baselines use them)."""
 
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.baselines import FitConfig, SSLBaseline
-from repro.baselines.base import ConvEncoder, _iterate
-from repro.data import make_forecasting_data
+from repro.baselines import SSLBaseline
+from repro.baselines.base import ConvEncoder
+from repro.core import PretrainConfig
 from repro.nn import Tensor
 
 
@@ -43,22 +44,23 @@ def _samples(n=20):
 class TestFitLoop:
     def test_hooks_fire_per_epoch_and_per_step(self):
         model = CountingBaseline()
-        model.fit(_samples(), FitConfig(epochs=3, batch_size=10, seed=0))
+        model.fit(_samples(), PretrainConfig(epochs=3, batch_size=10, seed=0))
         assert model.epoch_hooks == 3
         assert model.loss_calls == 3 * 2  # 20 samples / batch 10
         assert model.step_hooks == model.loss_calls
 
     def test_max_batches_cap(self):
         model = CountingBaseline()
-        model.fit(_samples(), FitConfig(epochs=2, batch_size=5,
-                                        max_batches_per_epoch=1, seed=0))
+        model.fit(_samples(), PretrainConfig(epochs=2, batch_size=5,
+                                             max_batches_per_epoch=1, seed=0))
         assert model.loss_calls == 2
 
     def test_fit_leaves_eval_mode_and_records_time(self):
         model = CountingBaseline()
-        model.fit(_samples(), FitConfig(epochs=1, batch_size=10, seed=0))
+        result = model.fit(_samples(),
+                           PretrainConfig(epochs=1, batch_size=10, seed=0))
         assert not model.training
-        assert model.fit_seconds > 0
+        assert result.wall_clock_seconds > 0
 
     def test_embeddings_restore_training_mode(self):
         model = CountingBaseline()
@@ -72,20 +74,6 @@ class TestFitLoop:
             base.loss(_samples(2), np.random.default_rng(0))
         with pytest.raises(NotImplementedError):
             base.encode(_samples(2))
-
-
-class TestIterate:
-    def test_over_sample_array(self):
-        batches = list(_iterate(_samples(13), 5, np.random.default_rng(0)))
-        assert sum(len(b) for b in batches) == 13
-
-    def test_over_forecasting_windows(self):
-        rng = np.random.default_rng(0)
-        series = rng.standard_normal((100, 2)).astype(np.float32)
-        data = make_forecasting_data(series, seq_len=10, pred_len=2)
-        batches = list(_iterate(data.train, 8, np.random.default_rng(1)))
-        assert all(b.shape[1:] == (10, 2) for b in batches)
-        assert sum(len(b) for b in batches) == len(data.train)
 
 
 class TestConvEncoderResidualPath:

@@ -11,7 +11,6 @@ from repro.baselines import (
     END_TO_END_FORECASTERS,
     FORECASTING_SSL_BASELINES,
     ConvEncoder,
-    FitConfig,
     InformerForecaster,
     MHCCL,
     SimCLR,
@@ -22,6 +21,7 @@ from repro.baselines import (
     TS2Vec,
     TSTCC,
 )
+from repro.core import PretrainConfig
 from repro.data import make_forecasting_data
 from repro.nn import Tensor
 
@@ -38,7 +38,8 @@ def _forecast_data(seed=0):
     return make_forecasting_data(series, seq_len=32, pred_len=8, stride=2)
 
 
-QUICK = FitConfig(epochs=1, batch_size=8, max_batches_per_epoch=3, seed=0)
+QUICK = PretrainConfig(epochs=1, batch_size=8, weight_decay=1e-4,
+                       max_batches_per_epoch=3, seed=0)
 
 ALL_SSL = sorted({**FORECASTING_SSL_BASELINES, **CLASSIFICATION_BASELINES}.items())
 
@@ -98,8 +99,9 @@ class TestSSLInterfaceContracts:
 
     def test_fit_records_wall_clock(self):
         model = TS2Vec(in_channels=3, d_model=16, seed=0)
-        model.fit(_samples(), QUICK)
-        assert model.fit_seconds > 0
+        result = model.fit(_samples(), QUICK)
+        assert result.model is model
+        assert result.wall_clock_seconds > 0
 
     def test_fit_over_forecasting_windows(self):
         data = _forecast_data()
@@ -230,7 +232,8 @@ class TestEndToEndForecasters:
             model = END_TO_END_FORECASTERS[name](in_channels=3, pred_len=8,
                                                  d_model=16, seed=0)
         before_mse, __ = model.evaluate(data)
-        model.fit(data, FitConfig(epochs=5, batch_size=32, seed=0))
+        model.fit(data, PretrainConfig(epochs=5, batch_size=32,
+                                       weight_decay=1e-4, seed=0))
         after_mse, after_mae = model.evaluate(data)
         assert after_mse < before_mse
         assert np.isfinite(after_mae)
@@ -240,7 +243,8 @@ class TestEndToEndForecasters:
         own level (sanity for the RevIN-style inverse)."""
         data = _forecast_data()
         model = TCNForecaster(in_channels=3, pred_len=8, d_model=16, seed=0)
-        model.fit(data, FitConfig(epochs=2, batch_size=32, seed=0))
+        model.fit(data, PretrainConfig(epochs=2, batch_size=32,
+                                       weight_decay=1e-4, seed=0))
         x, y = data.test.batch(np.arange(4))
         preds = model.predict(x)
         assert preds.shape == y.shape

@@ -22,6 +22,7 @@ from repro.checkpoint import (
 from repro.core import run_pretrain
 from repro.telemetry import Run
 from tests.checkpoint.common import (
+    BATCHES_PER_EPOCH,
     assert_model_states_equal,
     assert_training_states_equal,
     tiny_data,
@@ -249,3 +250,44 @@ class TestFinetuneKillAndResume:
             tmp_path / "killed" / phase).load_latest()
         assert final_b.epoch == 3
         assert_training_states_equal(final_a, final_b)
+
+
+class TestBaselineKillAndResume:
+    """Baselines train on the same loop, so they resume the same way, at
+    epoch granularity: their loss draws augmentations from the loader
+    generator, which a checkpoint rewinds to an epoch start only.  BYOL
+    also steps its EMA target after every optimizer step, and the
+    target's weights ride in the checkpoint with the rest of the model.
+    """
+
+    @staticmethod
+    def _fit(directory, hooks=None, **checkpoint):
+        from repro.baselines import BYOL
+
+        model = BYOL(in_channels=2, d_model=8, depth=2, seed=0)
+        config = tiny_train_config(
+            weight_decay=1e-4,
+            checkpoint=CheckpointConfig(directory=str(directory), **checkpoint))
+        return model.fit(tiny_data(), config, hooks=hooks)
+
+    # Step 5 is the first batch after the epoch-0 checkpoint, step 7 is
+    # epoch 1, batch 2: either way the run rewinds to the start of epoch
+    # 1 (global step 5) and replays the epoch.
+    @pytest.mark.parametrize("crash_step", [BATCHES_PER_EPOCH, 7])
+    def test_byol_resume_matches_uninterrupted(self, tmp_path, crash_step):
+        baseline = self._fit(tmp_path / "baseline")
+        with pytest.raises(SimulatedCrash):
+            self._fit(tmp_path / "killed", hooks=CrashAt(crash_step))
+        resumed = self._fit(tmp_path / "killed", resume=True)
+        assert resumed.resumed_from_step == BATCHES_PER_EPOCH
+        assert baseline.history == resumed.history
+        assert_model_states_equal(baseline.model.state_dict(),
+                                  resumed.model.state_dict())
+        final_a, __ = CheckpointManager(tmp_path / "baseline").load_latest()
+        final_b, __ = CheckpointManager(tmp_path / "killed").load_latest()
+        assert_training_states_equal(final_a, final_b)
+
+    def test_mid_epoch_checkpoints_are_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="epoch boundaries only"):
+            self._fit(tmp_path / "refused", every_n_batches=1)
+        assert not (tmp_path / "refused").exists()

@@ -127,3 +127,30 @@ class TestRidgeProbe:
         loose = RidgeProbe(alpha=1e-6).fit(x, y)
         tight = RidgeProbe(alpha=1e3).fit(x, y)
         assert np.abs(tight.weights_[:-1]).sum() < np.abs(loose.weights_[:-1]).sum()
+
+    def test_solve_is_stable_under_one_ulp(self):
+        """More features than windows (a conv baseline's T·D probe): the
+        float32 Gram matrix is mostly round-off, so moving the features by
+        one float32 ulp used to swing the test MSE.  The float64 solve
+        must not notice."""
+        rng = np.random.default_rng(0)
+        n_train, n_test, width, rank, horizon = 279, 120, 2048, 40, 24
+        basis = rng.standard_normal((rank, width))
+        readout = rng.standard_normal((rank, horizon))
+
+        def split(n):
+            factors = rng.standard_normal((n, rank))
+            features = (factors @ basis * 30.0
+                        + 0.01 * rng.standard_normal((n, width)))
+            return features.astype(np.float32), factors @ readout
+
+        train_x, train_y = split(n_train)
+        test_x, test_y = split(n_test)
+
+        def test_mse(shift):
+            probe = RidgeProbe(alpha=1.0).fit(shift(train_x), train_y)
+            return float(((probe.predict(shift(test_x)) - test_y) ** 2).mean())
+
+        base = test_mse(lambda x: x)
+        moved = test_mse(lambda x: np.nextafter(x, np.float32(np.inf)))
+        assert abs(moved - base) / base < 1e-3

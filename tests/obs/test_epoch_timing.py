@@ -71,9 +71,8 @@ class TestOneEpochClock:
         run.finish()
         child = registry.get("train_epoch_seconds").labels(
             phase="finetune_classification")
-        logged, spans, histogram = _three_clocks(run.directory,
-                                                 "finetune_epoch", child,
-                                                 observed)
+        logged, spans, histogram = _three_clocks(run.directory, "epoch",
+                                                 child, observed)
         assert len(logged) == 2
         for epoch in range(2):
             assert logged[epoch] == spans[epoch] == histogram[epoch]
@@ -113,6 +112,16 @@ class TestOnePhaseClock:
                 epochs=2, batch_size=8, seed=0, telemetry=True,
                 run_root=str(tmp_path)),
             distributed=DistributedConfig(world_size=2)))
+
+    def test_baseline_fit(self, tmp_path):
+        # Fig. 4 times the baselines with the same phase span as TimeDRL.
+        from repro.baselines import TS2Vec
+
+        data = np.random.default_rng(11).standard_normal(
+            (48, 32, 2)).astype(np.float32)
+        self._assert_one_reading(TS2Vec(in_channels=2, d_model=8).fit(
+            data, PretrainConfig(epochs=2, batch_size=16, seed=0,
+                                 telemetry=True, run_root=str(tmp_path))))
 
     def test_timed_with_telemetry_and_obs_off(self):
         data = np.random.default_rng(11).standard_normal(

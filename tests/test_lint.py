@@ -6,7 +6,12 @@
   stays a reference for tests, scripts and evaluation code only;
 * no training step in ``repro.distributed``: its ranks run the one
   pre-training loop of ``repro.core.pretrain``, so no module there may
-  call ``.backward(`` or ``.pretraining_losses(``.
+  call ``.backward(`` or ``.pretraining_losses(``;
+* one training loop in ``repro``: ``.backward(`` is called once in the
+  loop's module (``core/pretrain.py``, which every method trains
+  through) and once in the softmax probe
+  (``evaluation/classification.py``, full-batch with best-on-val
+  selection), and nowhere else.
 """
 
 import ast
@@ -105,14 +110,19 @@ class TestNoScipyInEngine:
 
 TRAINING_STEP_CALLS = ("backward", "pretraining_losses")
 
+# The only modules of ``repro`` that run backward, once each.
+BACKWARD_CALLS = {"core/pretrain.py": 1, "evaluation/classification.py": 1}
 
-def training_step_calls(source: str) -> list[int]:
-    """Line numbers of every ``<expr>.backward(...)`` or
-    ``<expr>.pretraining_losses(...)`` call."""
+
+def training_step_calls(source: str,
+                        names: tuple[str, ...] = TRAINING_STEP_CALLS
+                        ) -> list[int]:
+    """Line numbers of every ``<expr>.<name>(...)`` call, by default
+    ``.backward(`` and ``.pretraining_losses(``."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
                   if isinstance(node, ast.Call)
                   and isinstance(node.func, ast.Attribute)
-                  and node.func.attr in TRAINING_STEP_CALLS)
+                  and node.func.attr in names)
 
 
 class TestNoTrainingStepInDistributed:
@@ -136,3 +146,15 @@ class TestNoTrainingStepInDistributed:
                   "fn = model.pretraining_losses\n"
                   "s = 'x.backward()'\n")
         assert training_step_calls(source) == []
+
+
+class TestOneTrainingLoop:
+    def test_backward_only_in_the_loop_and_the_softmax_probe(self):
+        root = REPO / "src" / "repro"
+        calls = {}
+        for path in sorted(root.rglob("*.py")):
+            lines = training_step_calls(path.read_text(encoding="utf-8"),
+                                        ("backward",))
+            if lines:
+                calls[path.relative_to(root).as_posix()] = len(lines)
+        assert calls == BACKWARD_CALLS

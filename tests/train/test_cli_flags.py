@@ -120,7 +120,7 @@ TELEMETRY_RUNS = {
     "pretrain": (["--synthetic", "32", "--seq-len", "16", "--channels", "2",
                   "--patch-len", "4", "--d-model", "8", "--num-heads", "2",
                   "--num-layers", "1", "--batch-size", "16"], "total", 2),
-    "finetune": (["--dataset", "ETTh1", "--scale", "smoke"], "loss", 2),
+    "finetune": (["--dataset", "ETTh1", "--scale", "smoke"], "total", 2),
     "transfer": (["--source", "ETTh1", "--target", "ETTh2",
                   "--scale", "smoke"], "total", 4),
 }

@@ -223,3 +223,20 @@ class TestFinetuneCheckpointDir:
         assert sorted(path.name for path in directory.glob("ckpt-*")) == \
             pretrained
         assert list((directory / "finetune_forecasting").glob("ckpt-*"))
+
+    def test_run_root_places_both_phases(self, tmp_path, monkeypatch):
+        # No explicit directory and telemetry off: both phases fall back
+        # to <run_root>/checkpoints, fine-tuning in its own subdirectory,
+        # and nothing is written under the working directory.
+        monkeypatch.chdir(tmp_path)
+        root = tmp_path / "root"
+        options = TrainOptions(
+            pretrain=PretrainConfig(epochs=1, batch_size=8, seed=0),
+            run_root=str(root), checkpoint=True, epochs=1, batch_size=16)
+        session = TrainSession(_model_config())
+        session.pretrain(_samples(), options)
+        session.finetune(_forecast_data(), options=options)
+        assert list((root / "checkpoints").glob("ckpt-*"))
+        assert list((root / "checkpoints" / "finetune_forecasting")
+                    .glob("ckpt-*"))
+        assert not (tmp_path / "results").exists()
