@@ -8,8 +8,15 @@ configuration: wall clock, steps/s, windows/s, per-rank all-reduce time
 (from the ``dist_allreduce_seconds`` histogram) and the speedup against
 the in-process baseline.
 
+Each row also records ``cpu_seconds_per_wall_second``: the user + system
+CPU time of this process and its reaped children (the ranks) over the
+row's wall clock, from ``resource.getrusage``.  A row that keeps two
+CPUs busy reads about 2.0; a world-2 row far below that waits more than
+it computes.
+
 The speedup numbers are only meaningful with real parallel hardware, so
-the report records ``cpu_count`` and the ``>= 1.7x at world_size=2``
+the report records ``cpu_count``, the ``usable_cpus`` this process may
+run on (its affinity mask), and the ``>= 1.7x at world_size=2``
 acceptance gate is asserted **only when at least two cores are
 available**; on a single-core box the rows are still emitted (honest
 slowdown included) but the gate is skipped and noted in the payload.
@@ -22,6 +29,7 @@ against the in-process history is bit-exact.
 import json
 import os
 import pathlib
+import resource
 import time
 
 import numpy as np
@@ -76,13 +84,23 @@ def _allreduce_seconds(registry) -> dict:
             for series in snapshot["series"]}
 
 
-def _row(mode: str, world_size: int, elapsed: float, history,
+def _cpu_seconds() -> float:
+    """User + system CPU time of this process and its reaped children."""
+    total = 0.0
+    for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN):
+        usage = resource.getrusage(who)
+        total += usage.ru_utime + usage.ru_stime
+    return total
+
+
+def _row(mode: str, world_size: int, elapsed: float, cpu: float, history,
          allreduce: dict, baseline_s: float | None) -> dict:
     row = {
         "mode": mode,
         "world_size": world_size,
         "steps": _steps(),
         "wall_clock_seconds": round(elapsed, 3),
+        "cpu_seconds_per_wall_second": round(cpu / elapsed, 3),
         "steps_per_second": round(_steps() / elapsed, 3),
         "windows_per_second": round(
             WORKLOAD["windows"] * WORKLOAD["epochs"] / elapsed, 1),
@@ -97,24 +115,24 @@ def _row(mode: str, world_size: int, elapsed: float, history,
 def _measure() -> dict:
     registry = obs_metrics.enable()
     try:
-        start = time.perf_counter()
+        cpu_start, start = _cpu_seconds(), time.perf_counter()
         in_process = run_pretrain(_model_config(), _data_spec(),
                                   _train_config())
         baseline_s = time.perf_counter() - start
-        rows = [_row("in_process", 1, baseline_s, in_process.history, {},
-                     None)]
+        rows = [_row("in_process", 1, baseline_s, _cpu_seconds() - cpu_start,
+                     in_process.history, {}, None)]
 
         for world_size in WORLD_SIZES:
             registry.clear()
-            start = time.perf_counter()
+            cpu_start, start = _cpu_seconds(), time.perf_counter()
             result = pretrain_data_parallel(
                 _model_config(), _data_spec(),
                 train_config=_train_config(),
                 distributed=DistributedConfig(world_size=world_size))
             elapsed = time.perf_counter() - start
             rows.append(_row("data_parallel", world_size, elapsed,
-                             result.history, _allreduce_seconds(registry),
-                             baseline_s))
+                             _cpu_seconds() - cpu_start, result.history,
+                             _allreduce_seconds(registry), baseline_s))
             if world_size == 1:
                 # Correctness cross-check rides along with the timing:
                 # world_size=1 is the in-process loop plus supervision.
@@ -135,6 +153,7 @@ def test_perf_distributed(benchmark):
     report = {
         "workload": dict(WORKLOAD),
         "cpu_count": cpu_count,
+        "usable_cpus": len(os.sched_getaffinity(0)),
         "speedup_gate": {
             "threshold": SPEEDUP_GATE,
             "enforced": gate_enforced,
@@ -151,7 +170,8 @@ def test_perf_distributed(benchmark):
     for row in rows:
         line = (f"{row['mode']} world={row['world_size']}: "
                 f"{row['wall_clock_seconds']:.2f}s "
-                f"({row['steps_per_second']:.2f} steps/s)")
+                f"({row['steps_per_second']:.2f} steps/s, "
+                f"{row['cpu_seconds_per_wall_second']:.2f} CPU-s/s)")
         if "speedup_vs_in_process" in row:
             line += f" speedup={row['speedup_vs_in_process']:.2f}x"
         print(line)

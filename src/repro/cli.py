@@ -1270,7 +1270,7 @@ def build_parser() -> argparse.ArgumentParser:
                           ".npz/.npy of raw windows (N, T, C)")
     pre.add_argument("--synthetic", type=int, default=0, metavar="N",
                      help="pre-train on N synthetic windows instead of "
-                          "--data (each worker generates only its shard)")
+                          "--data")
     pre.add_argument("--seq-len", type=int, default=64,
                      help="synthetic window length (ignored with --data)")
     pre.add_argument("--channels", type=int, default=7,

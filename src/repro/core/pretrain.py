@@ -188,7 +188,8 @@ class _Reporter:
                                     1800, 7200)).labels(
             phase=phase).observe(seconds)
         registry.gauge("train_last_loss",
-                       "Most recent epoch's mean total loss").set(last_loss)
+                       "Most recent epoch's mean total loss",
+                       labels=("phase",)).labels(phase=phase).set(last_loss)
 
 
 class _PretrainLoop:

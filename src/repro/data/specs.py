@@ -205,8 +205,8 @@ def materialize_spec_rows(spec: dict, start: int, stop: int) -> np.ndarray:
     Because window block ``j`` is a pure function of ``(seed, j)``, only
     the canonical blocks overlapping the range are generated; the result
     is bit-identical to ``materialize_data_spec(spec)[start:stop]``.
-    This is what lets a data-parallel worker own a shard of a 10M-window
-    spec while touching only its own slice of the generation space.
+    Calibration reads the first rows of a spec this way
+    (:mod:`repro.compile.pipeline`).
     """
     if spec.get("kind") != "synthetic_windows":
         raise ValueError("materialize_spec_rows requires a synthetic_windows "

@@ -1,9 +1,9 @@
 """Data-parallel sharded pre-training.
 
-``world_size`` ranks each own a contiguous shard of the window index
-space, run the in-process ``repro.core`` pre-training loop over the
-IDENTICAL per-epoch batch permutation drawn from a shared loader seed,
-and exchange gradients through a shared-memory all-reduce whose
+``world_size`` ranks run the in-process ``repro.core`` pre-training
+loop over the IDENTICAL per-epoch batch permutation drawn from a shared
+loader seed, each taking an equal contiguous slice of every batch, and
+exchange gradients through a shared-memory all-reduce whose
 fixed-order float64 accumulation makes every replica's reduced gradient
 bit-identical — so the replicas stay in lockstep with no parameter
 broadcast.  ``repro.train`` (and ``repro pretrain --workers N``) route
@@ -16,8 +16,8 @@ observability).
 
 from .config import DistributedConfig, resolve_distributed
 from .coordinator import pretrain_data_parallel
-from .reduce import SharedAllReduce, flatten_grads, scatter_grads
-from .sharding import local_indices, shard_bounds
+from .reduce import SharedAllReduce
+from .sharding import shard_slice
 from .worker import (
     EXIT_ABORTED,
     EXIT_CRASH,
@@ -32,10 +32,7 @@ __all__ = [
     "resolve_distributed",
     "pretrain_data_parallel",
     "SharedAllReduce",
-    "flatten_grads",
-    "scatter_grads",
-    "shard_bounds",
-    "local_indices",
+    "shard_slice",
     "WorkerTask",
     "run_worker",
     "EXIT_OK",

@@ -54,7 +54,6 @@ from ..obs.metrics import get_registry as obs_registry
 from ..telemetry import console_log
 from .config import DistributedConfig
 from .reduce import SharedAllReduce
-from .sharding import shard_bounds
 from .worker import EXIT_ABORTED, EXIT_OK, EXIT_PEER_LOST, WorkerTask, run_worker
 
 __all__ = ["pretrain_data_parallel"]
@@ -168,15 +167,13 @@ def train_group(model_config, data, train_config, dist, run, hooks,
         obs_registry().gauge("dist_world_size",
                              "Workers in the data-parallel group").set(
             dist.world_size)
-    bounds = shard_bounds(total, dist.world_size)
     tasks = [WorkerTask(rank=rank, model_config=model_config,
                         train_config=train_config, data=token,
-                        shard_start=lo, shard_stop=hi,
                         checkpoint_dir=(str(checkpoint_dir)
                                         if checkpoint_dir else None),
                         extra_meta=extra_meta, hooks=_rank_hooks(hooks, rank),
                         telemetry=run.enabled, obs=obs_on)
-             for rank, (lo, hi) in enumerate(bounds)]
+             for rank in range(dist.world_size)]
     n_params = sum(p.data.size for p in TimeDRL(model_config).parameters())
     ctx = multiprocessing.get_context(dist.start_method)
     heartbeats = ctx.RawArray("d", dist.world_size)
@@ -193,9 +190,7 @@ def train_group(model_config, data, train_config, dist, run, hooks,
             if run.enabled:
                 for process, task in zip(group.processes, tasks):
                     run.emit("worker", action="started", rank=task.rank,
-                             pid=process.pid, incarnation=restarts,
-                             shard_start=task.shard_start,
-                             shard_stop=task.shard_stop)
+                             pid=process.pid, incarnation=restarts)
             outcome = _monitor(group, dist, heartbeats, messages, report)
             group.terminate_and_join()
             _drain(messages, report)

@@ -1,21 +1,32 @@
-"""Shared-memory gradient all-reduce.
+"""Shared-memory gradient all-reduce, reduced in place.
 
-The reducer is a ``world_size x n_params`` float64 slab of anonymous
-shared memory (``multiprocessing.RawArray`` — inherited on fork, pickled
-through ``Process`` args on spawn; no named segments, so nothing for the
-resource tracker to leak) plus two barriers:
+The reducer is anonymous shared memory (``multiprocessing.RawArray`` —
+inherited on fork, pickled through ``Process`` args on spawn; no named
+segments, so nothing for the resource tracker to leak): a
+``world_size x n_params`` float64 slab of per-rank gradient rows, one
+float64 result row and a small stats slab, plus two barriers:
 
-1. every rank writes its local mean gradient and loss stats into its own
-   row, then waits on the *enter* barrier;
-2. every rank reads ALL rows and accumulates them **in fixed rank
-   order** in float64 — identical operations on identical values, so
-   every replica computes a bit-identical reduced gradient;
-3. the *leave* barrier keeps rank r from overwriting its row for batch
-   k+1 while a peer is still reading batch k.
+1. every rank writes its per-parameter mean gradients straight into its
+   own row (a ``None`` gradient as zeros) and its weight and loss stats
+   into its stats row, then waits on the *enter* barrier;
+2. every rank reduces its own equal share of the columns
+   (:func:`~repro.distributed.sharding.shard_slice`) into the result
+   row, accumulating the contributing rows **in fixed rank order** in
+   float64 — each column is one elementwise expression of the same
+   values whichever rank computes it, so every replica reads a
+   bit-identical reduced gradient — and the loss means from the stats;
+3. after the *reduced* barrier, every rank casts the whole result row
+   into its float32 gradient buffer, allocated once per process, whose
+   per-parameter views become ``param.grad``.
 
-Weighting: worker r contributes its per-row *mean* gradient with weight
+No third barrier is needed: a rank rewrites its gradient row only after
+the *reduced* barrier, when every peer has finished reading the rows,
+and the result row only after the next *enter* barrier, when every peer
+has finished casting it.
+
+Weighting: rank r contributes its per-row *mean* gradient with weight
 ``k_r`` (its row count in the global batch).  Since the global batch
-loss is the mean over all B rows and the shards partition the batch,
+loss is the mean over all B rows and the slices partition the batch,
 ``sum_r (k_r / B) * mean_r`` is exactly the full-batch gradient up to
 floating-point reassociation.
 
@@ -29,11 +40,40 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.pretrain import _LOSS_KEYS
+from .sharding import shard_slice
 
 __all__ = ["SharedAllReduce"]
 
 # Per-rank stats row: [weight, *the loop's TimeDRL loss terms].
 _STATS = 1 + len(_LOSS_KEYS)
+
+
+class _RankViews:
+    """One rank's numpy views over the shared slabs, its per-parameter
+    views of its own row, and its float32 gradient buffer — built once
+    per process (views never cross a fork or a pickle)."""
+
+    def __init__(self, reducer: "SharedAllReduce", rank: int, params):
+        world, n = reducer.world_size, reducer.n_params
+        self.rows = np.frombuffer(reducer._grads,
+                                  dtype=np.float64).reshape(world, n)
+        self.stats = np.frombuffer(reducer._stats,
+                                   dtype=np.float64).reshape(world, _STATS)
+        self.result = np.frombuffer(reducer._result, dtype=np.float64)
+        self.cast = np.empty(n, dtype=np.float32)
+        self.own, self.grads = [], []
+        offset = 0
+        for param in params:
+            shape, size = param.data.shape, param.data.size
+            self.own.append(self.rows[rank, offset:offset + size].reshape(shape))
+            self.grads.append(self.cast[offset:offset + size].reshape(shape))
+            offset += size
+        if offset != n:
+            raise ValueError(f"parameter vector is {offset} elements, reducer "
+                             f"sized for {n}")
+        self.columns = shard_slice(n, world, rank)
+        self.scratch = np.empty(self.columns.stop - self.columns.start,
+                                dtype=np.float64)
 
 
 class SharedAllReduce:
@@ -48,103 +88,69 @@ class SharedAllReduce:
         self.world_size = world_size
         self.n_params = n_params
         self.timeout = barrier_timeout_s
-        self.total_weight = 0.0  # of this process's last reduce
         self._grads = ctx.RawArray("d", world_size * n_params)
+        self._result = ctx.RawArray("d", n_params)
         self._stats = ctx.RawArray("d", world_size * _STATS)
         self._enter = ctx.Barrier(world_size)
-        self._leave = ctx.Barrier(world_size)
+        self._reduced = ctx.Barrier(world_size)
+        self._views: dict[int, _RankViews] = {}  # by rank, in its process
 
-    def _views(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-process numpy views over the shared slabs (cheap, uncached:
-        views must be rebuilt after fork/spawn, never pickled)."""
-        grads = np.frombuffer(self._grads, dtype=np.float64)
-        stats = np.frombuffer(self._stats, dtype=np.float64)
-        return (grads.reshape(self.world_size, self.n_params),
-                stats.reshape(self.world_size, _STATS))
+    def all_reduce(self, rank: int, params, weight: float,
+                   losses: tuple[float, float, float],
+                   ) -> tuple[dict[str, float], float]:
+        """Exchange one step's gradients: every ``param.grad`` becomes a
+        float32 view of the reduced gradient.  Returns the reduced loss
+        means and the summed weight of every rank.
 
-    def all_reduce(self, rank: int, flat_grads: np.ndarray | None,
-                   weight: float, losses: tuple[float, float, float],
-                   ) -> tuple[np.ndarray, dict[str, float]]:
-        """Exchange one step's gradients; returns the reduced gradient
-        (float64, length ``n_params``) and the reduced loss means.
-
-        ``flat_grads`` is the rank's local mean gradient (``None`` with
-        ``weight=0`` when the rank owned no rows of this batch — it still
-        participates in both barriers to keep the group in lockstep).
-        The summed weight of every rank is left in ``total_weight``.
+        ``weight`` is the rank's row count; with ``0`` (the rank owned no
+        rows of this batch) its gradients are not read, and it still
+        joins both barriers to keep the group in lockstep.
         """
-        grads, stats = self._views()
-        if weight > 0.0 and flat_grads is not None:
-            grads[rank, :] = flat_grads
+        views = self._views.get(rank)
+        if views is None:
+            views = self._views[rank] = _RankViews(self, rank, params)
+        rows, stats = views.rows, views.stats
+        if weight > 0.0:
+            for own, param in zip(views.own, params):
+                if param.grad is None:
+                    own.fill(0.0)
+                else:
+                    np.copyto(own, param.grad)
         else:
             weight = 0.0
-            grads[rank, :] = 0.0
         stats[rank, 0] = weight
-        for column, value in enumerate(losses, start=1):
-            stats[rank, column] = value  # raw (unweighted) per-rank means
+        stats[rank, 1:] = losses  # raw (unweighted) per-rank means
         self._enter.wait(self.timeout)
         contributors = [peer for peer in range(self.world_size)
                         if stats[peer, 0] > 0.0]
+        columns = views.columns
+        reduced = views.result[columns]
         if len(contributors) == 1:
-            # Single contributor (world of one, or a tail batch that fell
-            # entirely inside one shard): take its row verbatim.  The
+            # Single contributor (world of one, or a tail batch shorter
+            # than the world): take its row verbatim.  The
             # multiply-then-divide round trip below can be off by one
             # float64 ulp, and this path must be *bit*-identical to the
             # single-process loop.
             peer = contributors[0]
-            reduced = grads[peer].copy()
+            reduced[...] = rows[peer, columns]
             loss_means = stats[peer, 1:].copy()
             total_weight = stats[peer, 0]
         else:
-            reduced = np.zeros(self.n_params, dtype=np.float64)
+            reduced.fill(0.0)
             loss_means = np.zeros(_STATS - 1, dtype=np.float64)
             total_weight = 0.0
             for peer in contributors:  # fixed order: bit-identical replicas
                 peer_weight = stats[peer, 0]
-                reduced += grads[peer] * peer_weight
+                np.multiply(rows[peer, columns], peer_weight, out=views.scratch)
+                reduced += views.scratch
                 loss_means += stats[peer, 1:] * peer_weight
                 total_weight += peer_weight
             if total_weight > 0.0:
                 reduced /= total_weight
                 loss_means /= total_weight
-        self.total_weight = float(total_weight)
-        self._leave.wait(self.timeout)
-        return reduced, dict(zip(_LOSS_KEYS, loss_means.tolist()))
-
-
-def flatten_grads(parameters, n_params: int) -> np.ndarray:
-    """Pack every parameter's gradient into one float64 vector.
-
-    float32 values round-trip float32 → float64 → float32 exactly, so a
-    world of one reducing through shared memory stays bit-identical to
-    stepping on the local gradients directly.
-    """
-    flat = np.empty(n_params, dtype=np.float64)
-    offset = 0
-    for param in parameters:
-        size = param.data.size
-        grad = param.grad
-        if grad is None:
-            flat[offset:offset + size] = 0.0
-        else:
-            flat[offset:offset + size] = np.asarray(
-                grad, dtype=np.float64).ravel()
-        offset += size
-    if offset != n_params:
-        raise ValueError(f"parameter vector is {offset} elements, reducer "
-                         f"sized for {n_params}")
-    return flat
-
-
-def scatter_grads(parameters, flat: np.ndarray) -> None:
-    """Unpack a reduced float64 vector into each parameter's ``.grad``
-    (cast back to the parameter's dtype)."""
-    offset = 0
-    for param in parameters:
-        size = param.data.size
-        param.grad = flat[offset:offset + size].reshape(
-            param.data.shape).astype(param.data.dtype)
-        offset += size
-
-
-__all__ += ["flatten_grads", "scatter_grads"]
+        self._reduced.wait(self.timeout)
+        np.copyto(views.cast, views.result)
+        for param, grad in zip(params, views.grads):
+            param.grad = grad
+        return (dict(zip(_LOSS_KEYS, loss_means.tolist())),
+                float(total_weight))

@@ -8,15 +8,16 @@ runs in process — over this rank's view of the corpus, and fills the
 loop's two seams with :class:`_Rank`:
 
 * every rank draws the IDENTICAL global batch permutation from the same
-  loader RNG and gathers only the rows inside its shard, so the union of
-  the per-rank selections is exactly the single-process batch stream;
-* the gradient reducer flattens the local mean gradient, exchanges it
-  through :class:`~repro.distributed.reduce.SharedAllReduce`, scatters
-  the reduced gradient back and stamps this rank's heartbeat.  The
-  reduced gradient is bit-identical on every replica, so optimizer
-  trajectories stay in lockstep with no parameter broadcast, and the
-  loop's recovery checks read the reduced values, so every replica takes
-  the same skip/rollback/abort decision at the same step;
+  loader RNG and gathers only its equal slice of each batch
+  (:func:`~repro.distributed.sharding.shard_slice`), so the union of the
+  per-rank selections is exactly the single-process batch stream;
+* the gradient reducer hands the local mean gradients to
+  :class:`~repro.distributed.reduce.SharedAllReduce`, which leaves the
+  reduced gradient in each ``param.grad``, and stamps this rank's
+  heartbeat.  The reduced gradient is bit-identical on every replica, so
+  optimizer trajectories stay in lockstep with no parameter broadcast,
+  and the loop's recovery checks read the reduced values, so every
+  replica takes the same skip/rollback/abort decision at the same step;
 * the reporter forwards rank 0's records (steps, epochs, checkpoint and
   recovery events, ``train_*`` obs metrics, verbose lines) over the
   message queue; the coordinator replays them on the caller's run.
@@ -48,8 +49,8 @@ from ..core.pretrain import (
 from ..data.store import resolve_data_source
 from ..nn import tensor as _tensor
 from ..obs import trace as obs_trace
-from .reduce import SharedAllReduce, flatten_grads, scatter_grads
-from .sharding import local_indices
+from .reduce import SharedAllReduce
+from .sharding import shard_slice
 
 __all__ = ["WorkerTask", "run_worker",
            "EXIT_OK", "EXIT_CRASH", "EXIT_PEER_LOST", "EXIT_ABORTED"]
@@ -68,8 +69,6 @@ class WorkerTask:
     model_config: TimeDRLConfig
     train_config: PretrainConfig
     data: object                  # resolved data, or a store's path
-    shard_start: int
-    shard_stop: int
     checkpoint_dir: str | None = None
     extra_meta: dict | None = None
     resume: bool = False          # forced True on elastic restarts
@@ -80,17 +79,17 @@ class WorkerTask:
 
 class _Shard:
     """This rank's view of the corpus: the global index space, gathering
-    only the rows of each batch that fall inside ``[start, stop)``."""
+    only this rank's equal slice of each batch, in batch order."""
 
-    def __init__(self, data, start: int, stop: int):
+    def __init__(self, data, rank: int, world_size: int):
         self.size, self.fetch = _batch_fetcher(data)
-        self.start, self.stop = start, stop
+        self.rank, self.world_size = rank, world_size
 
     def __len__(self) -> int:
         return self.size
 
     def batch(self, indices):
-        mine = local_indices(indices, self.start, self.stop)
+        mine = indices[shard_slice(len(indices), self.world_size, self.rank)]
         # No rows of this batch here: the empty index array tells the
         # loop to skip the forward and still join the all-reduce.
         return self.fetch(mine) if mine.size else mine
@@ -113,17 +112,15 @@ class _Rank:
 
     def reduce(self, params, losses, rows):
         self.heartbeats[self.rank] = time.monotonic()
-        flat, local = None, (0.0, 0.0, 0.0)
+        local = (0.0, 0.0, 0.0)
         if losses is not None:
-            flat = flatten_grads(params, self.shared.n_params)
             local = tuple(float(losses[key].data) for key in _LOSS_KEYS)
         started = time.perf_counter()
-        reduced, values = self.shared.all_reduce(self.rank, flat, float(rows),
-                                                 local)
+        values, total = self.shared.all_reduce(self.rank, params, float(rows),
+                                               local)
         self.reduce_seconds += time.perf_counter() - started
         self.rows += rows
-        scatter_grads(params, reduced)
-        return values, int(self.shared.total_weight)
+        return values, int(total)
 
     # -- reporter: the loop reports through ``enabled`` (rank 0 of a
     # recording run only); the coordinator replays each forwarded call.
@@ -171,8 +168,8 @@ def run_worker(task: WorkerTask, reducer: SharedAllReduce, heartbeats,
         _tensor._COLLAPSE_GEMMS = False
     try:
         rank = _Rank(task, reducer, heartbeats, queue)
-        data = _Shard(resolve_data_source(task.data), task.shard_start,
-                      task.shard_stop)
+        data = _Shard(resolve_data_source(task.data), task.rank,
+                      reducer.world_size)
         cfg = task.train_config
         loop = _PretrainLoop(*_timedrl_loop_inputs(task.model_config, data,
                                                    cfg),

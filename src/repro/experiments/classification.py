@@ -7,9 +7,6 @@ scored with ACC / macro-F1 / Cohen's kappa on the held-out test split.
 
 from __future__ import annotations
 
-import dataclasses
-import pathlib
-
 from ..baselines import CLASSIFICATION_BASELINES
 from ..checkpoint import CheckpointConfig
 from ..core import (
@@ -27,6 +24,7 @@ from ..data import (
 from ..data.datasets import ClassificationData
 from ..evaluation import linear_probe_classification
 from ..telemetry import NULL_RUN
+from .forecasting import _dataset_checkpoint
 from .scale import ScalePreset, get_scale
 from .tables import ResultTable
 
@@ -76,12 +74,13 @@ def timedrl_classification_config(dataset: str, preset: ScalePreset, seed: int =
 def run_classification_method(method: str, dataset: str, data: ClassificationData,
                               preset: ScalePreset, seed: int = 0,
                               config_overrides: dict | None = None,
-                              checkpoint: CheckpointConfig | None = None
-                              ) -> dict[str, float]:
+                              checkpoint: CheckpointConfig | None = None,
+                              run=None) -> dict[str, float]:
     """Pre-train + probe one method; returns ``{"ACC", "MF1", "kappa"}``.
 
     ``checkpoint`` applies to the TimeDRL pre-training only (baselines own
     their fit loops): each dataset checkpoints into its own subdirectory
+    (of the telemetry ``run``'s directory when no directory is given)
     with a data spec so ``repro runs resume`` can rebuild the samples.
     """
     if method == "TimeDRL":
@@ -90,10 +89,9 @@ def run_classification_method(method: str, dataset: str, data: ClassificationDat
         if checkpoint is not None:
             info = CLASSIFICATION_DATASETS[dataset]
             scale = min(1.0, preset.max_samples / info.samples)
-            base = checkpoint.directory or "results/checkpoints"
-            checkpoint = dataclasses.replace(
-                checkpoint, directory=str(pathlib.Path(base) / dataset),
-                data_spec=classification_spec(dataset, scale=scale, seed=seed))
+            checkpoint = _dataset_checkpoint(
+                checkpoint, dataset,
+                classification_spec(dataset, scale=scale, seed=seed), run)
         outcome = run_pretrain(config, data.x_train, PretrainConfig(
             epochs=preset.classify_pretrain_epochs, batch_size=preset.batch_size,
             max_batches_per_epoch=preset.max_batches, seed=seed,
@@ -142,7 +140,8 @@ def classification_table(datasets: tuple[str, ...] = ("Epilepsy",),
                 with run.span("method", dataset=dataset, method=method):
                     scores = run_classification_method(method, dataset, data,
                                                        preset, seed,
-                                                       checkpoint=checkpoint)
+                                                       checkpoint=checkpoint,
+                                                       run=run)
                 for metric in tables:
                     tables[metric].add(dataset, method, scores[metric])
                 run.emit("metric", experiment="classification_table",

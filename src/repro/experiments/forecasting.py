@@ -16,7 +16,6 @@ standard-scaled space, mirroring the paper.
 from __future__ import annotations
 
 import dataclasses
-import pathlib
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from ..core import (
     linear_evaluate_forecasting,
     run_pretrain,
 )
+from ..core.pretrain import _resolve_checkpoint_dir
 from ..data import (
     FORECASTING_DATASETS,
     forecasting_spec,
@@ -96,26 +96,30 @@ def timedrl_config_for(n_features: int, preset: ScalePreset, seed: int = 0,
 
 
 def _dataset_checkpoint(checkpoint: CheckpointConfig | None, dataset: str,
-                        data_spec: dict | None) -> CheckpointConfig | None:
+                        data_spec: dict | None, run
+                        ) -> CheckpointConfig | None:
     """Per-dataset checkpoint sub-config: each dataset's pre-train gets its
-    own subdirectory (shared directories would collide file names) and a
-    data spec so ``repro runs resume`` can rebuild the training data."""
+    own subdirectory (shared directories would collide file names) of the
+    directory pre-training picks — the explicit one, else the telemetry
+    ``run``'s, else ``<run_root>/checkpoints`` — and a data spec so
+    ``repro runs resume`` can rebuild the training data."""
     if checkpoint is None:
         return None
-    base = checkpoint.directory or "results/checkpoints"
-    return dataclasses.replace(checkpoint,
-                               directory=str(pathlib.Path(base) / dataset),
+    base = _resolve_checkpoint_dir(checkpoint, PretrainConfig(),
+                                   NULL_RUN if run is None else run)
+    return dataclasses.replace(checkpoint, directory=str(base / dataset),
                                data_spec=data_spec)
 
 
 def run_forecasting_method(method: str, prepared: dict, preset: ScalePreset,
                            seed: int = 0, config_overrides: dict | None = None,
-                           checkpoint: CheckpointConfig | None = None
-                           ) -> dict[int, tuple[float, float]]:
+                           checkpoint: CheckpointConfig | None = None,
+                           run=None) -> dict[int, tuple[float, float]]:
     """Run one method over every horizon; returns ``{horizon: (mse, mae)}``.
 
     ``checkpoint`` applies to the TimeDRL pre-training only (baselines own
-    their fit loops).
+    their fit loops); without a directory it lands under the telemetry
+    ``run``'s directory when one is given.
     """
     horizons = prepared["horizons"]
     n_features = prepared["n_features"]
@@ -134,7 +138,7 @@ def run_forecasting_method(method: str, prepared: dict, preset: ScalePreset,
             max_batches_per_epoch=preset.max_batches, seed=seed,
             checkpoint=_dataset_checkpoint(
                 checkpoint, spec["dataset"] if spec else "forecasting",
-                data_spec)))
+                data_spec, run)))
         for horizon, data in horizons.items():
             scores = linear_evaluate_forecasting(outcome.model, data)
             results[horizon] = (scores.mse, scores.mae)
@@ -204,7 +208,8 @@ def forecasting_table(datasets: tuple[str, ...] = ("ETTh1",),
                 with run.span("method", dataset=dataset, method=method):
                     per_horizon = run_forecasting_method(method, prepared,
                                                          preset, seed,
-                                                         checkpoint=checkpoint)
+                                                         checkpoint=checkpoint,
+                                                         run=run)
                 for horizon, (mse_value, mae_value) in per_horizon.items():
                     row = f"{dataset}-{horizon}"
                     mse_table.add(row, method, mse_value)

@@ -176,8 +176,11 @@ class Dashboard:
         rate = self._rate(flat, "train_steps_total", elapsed)
         if rate is not None:
             pairs.append(("steps/s", format_quantity(rate, 1)))
-        if "train_last_loss" in flat:
-            pairs.append(("loss", f"{flat['train_last_loss']:.4f}"))
+        prefix = 'train_last_loss{phase="'
+        for key in sorted(flat):
+            if key.startswith(prefix):
+                phase = key[len(prefix):-2]
+                pairs.append((f"loss {phase}", f"{flat[key]:.4f}"))
         if flat.get("train_epoch_seconds_count"):
             pairs.append(("epoch mean",
                           f"{flat['train_epoch_seconds_mean']:.2f}s"))

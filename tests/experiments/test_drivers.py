@@ -1,8 +1,11 @@
 """Tests for the table/figure experiment drivers (smoke-scale runs)."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
+from repro.checkpoint import CheckpointConfig
 from repro.experiments import (
     SMOKE,
     augmentation_ablation,
@@ -22,6 +25,7 @@ from repro.experiments import (
     timedrl_config_for,
     training_time_table,
 )
+from repro.telemetry import Run
 
 
 class TestPreparation:
@@ -103,6 +107,27 @@ class TestTableDrivers:
                                       methods=("TimeDRL", "T-Loss"), preset=SMOKE)
         assert set(tables) == {"ACC", "MF1", "kappa"}
         assert tables["ACC"].rows == ["PenDigits"]
+
+
+class TestTableCheckpoints:
+    def test_run_checkpoints_stay_out_of_the_working_directory(
+            self, tmp_path, monkeypatch):
+        # No checkpoint directory: each dataset's TimeDRL pre-training
+        # checkpoints under the run's directory, one subdirectory per
+        # dataset, and nothing lands under ./results.
+        monkeypatch.chdir(tmp_path)
+        run = Run.create(root=tmp_path / "runs", name="tables")
+        with run:
+            forecasting_table(datasets=("ETTh1",), methods=("TimeDRL",),
+                              preset=SMOKE, run=run,
+                              checkpoint=CheckpointConfig())
+            classification_table(datasets=("PenDigits",),
+                                 methods=("TimeDRL",), preset=SMOKE, run=run,
+                                 checkpoint=CheckpointConfig())
+        base = pathlib.Path(run.directory) / "checkpoints"
+        assert list((base / "ETTh1").glob("ckpt-*"))
+        assert list((base / "PenDigits").glob("ckpt-*"))
+        assert not (tmp_path / "results").exists()
 
 
 class TestAblationDrivers:

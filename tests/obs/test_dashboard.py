@@ -68,6 +68,17 @@ class TestRender:
         assert "[FAIL] serve_requests_total < 1" in text
         assert "[  ? ] absent_metric < 1" in text
 
+    def test_training_shows_last_loss_per_phase(self):
+        registry = MetricsRegistry()
+        registry.counter("train_steps_total", labels=("phase",)).labels(
+            phase="pretrain").inc(3)
+        last_loss = registry.gauge("train_last_loss", labels=("phase",))
+        last_loss.labels(phase="pretrain").set(0.5)
+        last_loss.labels(phase="finetune_forecasting").set(0.25)
+        text = Dashboard(registry).render()
+        assert "loss pretrain: 0.5000" in text
+        assert "loss finetune_forecasting: 0.2500" in text
+
     def test_falls_back_to_process_registry(self, registry):
         registry.counter("serve_requests_total").inc(2)
         assert "requests: 2" in Dashboard().render()

@@ -61,7 +61,8 @@ class TestTrainingInstrumentation:
         assert steps.value == 3 * 3  # 48 windows / batch 16 → 3 steps/epoch
         seconds = registry.get("train_epoch_seconds").labels(phase="pretrain")
         assert seconds.count == 3
-        assert registry.get("train_last_loss").value == history[-1]["total"]
+        last_loss = registry.get("train_last_loss").labels(phase="pretrain")
+        assert last_loss.value == history[-1]["total"]
 
     def test_finetune_publishes_per_task_metrics(self, registry):
         rng = np.random.default_rng(5)

@@ -26,6 +26,7 @@ from repro.core import (
     run_transfer,
 )
 from repro.data import make_classification_data, make_forecasting_data
+from repro.obs import metrics as obs_metrics
 from repro.telemetry import Run
 from repro.train import TrainOptions, TrainSession
 
@@ -170,6 +171,27 @@ class TestSessionLifecycle:
         session = TrainSession.from_checkpoint(tmp_path / "ck")
         assert session.model_config == _model_config()
         _assert_models_equal(session.model, result.model)
+
+
+class TestSessionMetrics:
+    def test_last_loss_is_kept_per_phase(self):
+        # Fine-tuning after pre-training must not overwrite pre-training's
+        # train_last_loss: the gauge is labelled by phase.
+        registry = obs_metrics.MetricsRegistry()
+        obs_metrics.set_registry(registry)
+        try:
+            session = TrainSession(_model_config())
+            pretrained = session.pretrain(_samples(), options=TrainOptions(
+                pretrain=PretrainConfig(epochs=1, batch_size=8, seed=0)))
+            session.finetune(_forecast_data(), options=TrainOptions(epochs=1))
+            gauge = registry.get("train_last_loss")
+            assert gauge.labels(phase="pretrain").value == \
+                pretrained.history[-1]["total"]
+            finetuned = gauge.labels(phase="finetune_forecasting").value
+            assert np.isfinite(finetuned)
+            assert finetuned != pretrained.history[-1]["total"]
+        finally:
+            obs_metrics.disable()
 
 
 class TestCheckpointDirPrecedence:
