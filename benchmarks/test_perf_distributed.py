@@ -8,11 +8,16 @@ configuration: wall clock, steps/s, windows/s, per-rank all-reduce time
 (from the ``dist_allreduce_seconds`` histogram) and the speedup against
 the in-process baseline.
 
+**Timer.** Each configuration makes one untimed warm-up call, then
+``CALLS`` timed calls rotate in process -> world 1 -> world 2, so a slow
+spell of the host lands on every row alike.  A row records the median
+and the min of its calls; rates, speedups and the gate read the median.
+
 Each row also records ``cpu_seconds_per_wall_second``: the user + system
 CPU time of this process and its reaped children (the ranks) over the
-row's wall clock, from ``resource.getrusage``.  A row that keeps two
-CPUs busy reads about 2.0; a world-2 row far below that waits more than
-it computes.
+row's wall clock, summed over its timed calls, from
+``resource.getrusage``.  A row that keeps two CPUs busy reads about
+2.0; a world-2 row far below that waits more than it computes.
 
 The speedup numbers are only meaningful with real parallel hardware, so
 the report records ``cpu_count``, the ``usable_cpus`` this process may
@@ -48,7 +53,9 @@ OUTPUT_PATH = REPO_ROOT / "BENCH_distributed.json"
 WORKLOAD = {"windows": 384, "seq_len": 64, "channels": 7, "epochs": 2,
             "batch_size": 32, "d_model": 64, "num_layers": 2}
 SPEEDUP_GATE = 1.7
-WORLD_SIZES = (1, 2)
+CALLS = 5
+# (mode, world size) of each row, in the order every round calls them.
+CONFIGS = (("in_process", 1), ("data_parallel", 1), ("data_parallel", 2))
 
 
 def _model_config() -> TimeDRLConfig:
@@ -80,7 +87,7 @@ def _allreduce_seconds(registry) -> dict:
     snapshot = registry.snapshot().get("dist_allreduce_seconds")
     if snapshot is None:
         return {}
-    return {series["labels"]["rank"]: round(series["sum"], 4)
+    return {series["labels"]["rank"]: series["sum"]
             for series in snapshot["series"]}
 
 
@@ -93,51 +100,72 @@ def _cpu_seconds() -> float:
     return total
 
 
-def _row(mode: str, world_size: int, elapsed: float, cpu: float, history,
-         allreduce: dict, baseline_s: float | None) -> dict:
+def _train(mode: str, world_size: int):
+    if mode == "in_process":
+        return run_pretrain(_model_config(), _data_spec(), _train_config())
+    return pretrain_data_parallel(
+        _model_config(), _data_spec(), train_config=_train_config(),
+        distributed=DistributedConfig(world_size=world_size))
+
+
+def _timed(registry, mode: str, world_size: int) -> dict:
+    registry.clear()
+    cpu_start, start = _cpu_seconds(), time.perf_counter()
+    result = _train(mode, world_size)
+    return {"seconds": time.perf_counter() - start,
+            "cpu": _cpu_seconds() - cpu_start, "history": result.history,
+            "allreduce": _allreduce_seconds(registry)}
+
+
+def _row(mode: str, world_size: int, calls: list[dict],
+         baseline_s: float | None) -> dict:
+    seconds = [call["seconds"] for call in calls]
+    median = float(np.median(seconds))
+    ranks = sorted({rank for call in calls for rank in call["allreduce"]})
     row = {
         "mode": mode,
         "world_size": world_size,
         "steps": _steps(),
-        "wall_clock_seconds": round(elapsed, 3),
-        "cpu_seconds_per_wall_second": round(cpu / elapsed, 3),
-        "steps_per_second": round(_steps() / elapsed, 3),
+        "calls": len(calls),
+        "wall_clock_seconds": round(median, 3),
+        "wall_clock_seconds_min": round(min(seconds), 3),
+        "cpu_seconds_per_wall_second": round(
+            sum(call["cpu"] for call in calls) / sum(seconds), 3),
+        "steps_per_second": round(_steps() / median, 3),
         "windows_per_second": round(
-            WORKLOAD["windows"] * WORKLOAD["epochs"] / elapsed, 1),
-        "final_total_loss": history[-1]["total"],
-        "allreduce_seconds_by_rank": allreduce,
+            WORKLOAD["windows"] * WORKLOAD["epochs"] / median, 1),
+        "final_total_loss": calls[-1]["history"][-1]["total"],
+        "allreduce_seconds_by_rank": {
+            rank: round(float(np.median([call["allreduce"][rank]
+                                         for call in calls])), 4)
+            for rank in ranks},
     }
     if baseline_s is not None:
-        row["speedup_vs_in_process"] = round(baseline_s / elapsed, 3)
+        row["speedup_vs_in_process"] = round(baseline_s / median, 3)
     return row
 
 
 def _measure() -> dict:
     registry = obs_metrics.enable()
     try:
-        cpu_start, start = _cpu_seconds(), time.perf_counter()
-        in_process = run_pretrain(_model_config(), _data_spec(),
-                                  _train_config())
-        baseline_s = time.perf_counter() - start
-        rows = [_row("in_process", 1, baseline_s, _cpu_seconds() - cpu_start,
-                     in_process.history, {}, None)]
-
-        for world_size in WORLD_SIZES:
-            registry.clear()
-            cpu_start, start = _cpu_seconds(), time.perf_counter()
-            result = pretrain_data_parallel(
-                _model_config(), _data_spec(),
-                train_config=_train_config(),
-                distributed=DistributedConfig(world_size=world_size))
-            elapsed = time.perf_counter() - start
-            rows.append(_row("data_parallel", world_size, elapsed,
-                             _cpu_seconds() - cpu_start, result.history,
-                             _allreduce_seconds(registry), baseline_s))
-            if world_size == 1:
-                # Correctness cross-check rides along with the timing:
-                # world_size=1 is the in-process loop plus supervision.
-                assert result.history == in_process.history
-        return {"rows": rows}
+        for mode, world_size in CONFIGS:  # untimed warm-up
+            _train(mode, world_size)
+        calls = {config: [] for config in CONFIGS}
+        for __ in range(CALLS):
+            for mode, world_size in CONFIGS:
+                calls[mode, world_size].append(
+                    _timed(registry, mode, world_size))
+        in_process = calls["in_process", 1]
+        # Correctness cross-check rides along with the timing:
+        # world_size=1 is the in-process loop plus supervision.
+        for call in calls["data_parallel", 1]:
+            assert call["history"] == in_process[0]["history"]
+        baseline_s = float(np.median([call["seconds"]
+                                      for call in in_process]))
+        return {"rows": [
+            _row(mode, world_size, calls[mode, world_size],
+                 None if mode == "in_process" else baseline_s)
+            for mode, world_size in CONFIGS]}
     finally:
         obs_metrics.disable()
 
@@ -152,6 +180,9 @@ def test_perf_distributed(benchmark):
                   if r["mode"] == "data_parallel" and r["world_size"] == 2]
     report = {
         "workload": dict(WORKLOAD),
+        "timer": (f"median and min of {CALLS} calls per row, rotated in "
+                  f"process -> world 1 -> world 2 after one untimed "
+                  f"warm-up call each"),
         "cpu_count": cpu_count,
         "usable_cpus": len(os.sched_getaffinity(0)),
         "speedup_gate": {
@@ -169,7 +200,8 @@ def test_perf_distributed(benchmark):
     print()
     for row in rows:
         line = (f"{row['mode']} world={row['world_size']}: "
-                f"{row['wall_clock_seconds']:.2f}s "
+                f"{row['wall_clock_seconds']:.2f}s median, "
+                f"{row['wall_clock_seconds_min']:.2f}s min "
                 f"({row['steps_per_second']:.2f} steps/s, "
                 f"{row['cpu_seconds_per_wall_second']:.2f} CPU-s/s)")
         if "speedup_vs_in_process" in row:

@@ -1587,12 +1587,8 @@ def main(argv: list[str] | None = None) -> int:
         return _run_profile(args)
     if args.experiment == "compile":
         return _run_compile(args)
-    if args.experiment == "pretrain":
-        return _run_pretrain_cmd(args)
-    if args.experiment == "finetune":
-        return _run_finetune_cmd(args)
-    if args.experiment == "transfer":
-        return _run_transfer_cmd(args)
+    if args.experiment in _TRAINING_COMMANDS:
+        return _exit_on_value_error(_TRAINING_COMMANDS[args.experiment], args)
     if args.experiment == "serve":
         if args.obs_export is not None:
             args.obs = True
@@ -1615,6 +1611,10 @@ def main(argv: list[str] | None = None) -> int:
         except (FileNotFoundError, ValueError) as error:
             print(f"error: {error}", file=sys.stderr)
             return 1
+    return _exit_on_value_error(_run_experiment, args)
+
+
+def _run_experiment(args) -> int:
     runner, __ = EXPERIMENTS[args.experiment]
     preset = get_scale(args.scale)
     console_log(f"running {args.experiment} at scale {preset.name!r}")
@@ -1629,6 +1629,22 @@ def main(argv: list[str] | None = None) -> int:
         result = runner(args, preset)
     _emit(result, args.experiment, args.output)
     return 0
+
+
+def _exit_on_value_error(command, args) -> int:
+    """Run a training command; a ``ValueError`` (a request the library
+    rejects, e.g. ``--resume`` with nothing to resume) exits 1 with its
+    message instead of a traceback."""
+    try:
+        return command(args)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
+
+
+_TRAINING_COMMANDS = {"pretrain": _run_pretrain_cmd,
+                      "finetune": _run_finetune_cmd,
+                      "transfer": _run_transfer_cmd}
 
 
 if __name__ == "__main__":

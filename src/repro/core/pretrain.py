@@ -524,12 +524,23 @@ def _resolve_checkpoint_dir(ckpt_cfg, train_config, run,
     The choice is recorded as a ``checkpoint`` telemetry event
     (``action="dir_resolved"``) so a surprising precedence outcome is
     visible in ``repro runs tail`` instead of silent.
+
+    ``resume`` under rule 2 raises ``ValueError`` while the run's
+    checkpoint directory holds no checkpoint: a run created by this call
+    starts empty, so the resume could never find one.
     """
     if ckpt_cfg.directory:
         chosen, source = pathlib.Path(ckpt_cfg.directory), "explicit_directory"
     elif getattr(run, "directory", None):
         chosen = pathlib.Path(run.directory) / "checkpoints"
         source = "run_directory"
+        if ckpt_cfg.resume and not any(chosen.rglob("ckpt-*.npz")):
+            raise ValueError(
+                f"nothing to resume: {chosen}, the checkpoint directory of "
+                f"run {run.run_id}, holds no checkpoint (a run created by "
+                f"this call starts empty); pass the directory to resume "
+                f"from (--checkpoint DIR) or restart the recorded run "
+                f"(repro runs resume RUN_ID)")
     else:
         chosen = pathlib.Path(train_config.run_root) / "checkpoints"
         source = "run_root"

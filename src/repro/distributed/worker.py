@@ -24,6 +24,11 @@ loop's two seams with :class:`_Rank`:
   Every rank also reports its all-reduce time and rows for the
   ``dist_*`` obs families.  Only rank 0 writes checkpoints.
 
+Before its first GEMM a rank of a group of two or more lowers OpenBLAS
+to its share of the CPUs (:mod:`repro.distributed.blas`) and, under
+telemetry, reports its pool in a ``worker`` event with
+``action="blas"``.
+
 Exit codes tell the coordinator what happened: ``0`` finished, ``1``
 crashed (elastic restart), ``3`` a *peer* died and broke a barrier
 (restart, not a fault of this rank), ``4`` a recovery policy aborted
@@ -47,8 +52,8 @@ from ..core.pretrain import (
     _timedrl_loop_inputs,
 )
 from ..data.store import resolve_data_source
-from ..nn import tensor as _tensor
 from ..obs import trace as obs_trace
+from .blas import limit_blas_threads
 from .reduce import SharedAllReduce
 from .sharding import shard_slice
 
@@ -162,12 +167,13 @@ def run_worker(task: WorkerTask, reducer: SharedAllReduce, heartbeats,
     """Process entrypoint for one rank.  Exits via ``SystemExit`` with one
     of the ``EXIT_*`` codes; the coordinator keys its elastic policy off
     the exit status, with queue messages carrying the detail."""
-    if reducer.world_size > 1:
-        # A GEMM over all rows would start BLAS threads that fight the
-        # other ranks' for the CPUs (docs/autograd.md "GEMM shapes").
-        _tensor._COLLAPSE_GEMMS = False
     try:
+        # Before the rank's first GEMM: its share of the CPUs, so the
+        # ranks' BLAS pools do not fight over them (.blas).
+        pool = limit_blas_threads(reducer.world_size)
         rank = _Rank(task, reducer, heartbeats, queue)
+        if task.telemetry:
+            rank.emit("worker", action="blas", rank=task.rank, **pool)
         data = _Shard(resolve_data_source(task.data), task.rank,
                       reducer.world_size)
         cfg = task.train_config

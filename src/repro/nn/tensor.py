@@ -56,13 +56,6 @@ DEFAULT_DTYPE = np.float32
 # another no_grad() is still active).
 _NO_GRAD_DEPTH = 0
 
-# Whether a ``(..., m, k) @ (k, n)`` product that records a graph node runs
-# as one GEMM over all rows (``Tensor.__matmul__``).  Only
-# ``repro.distributed.worker.run_worker`` writes it, switching it off in a
-# rank of a group of two or more, where the larger GEMM's BLAS threads
-# would contend with the other ranks' for the same CPUs.
-_COLLAPSE_GEMMS = True
-
 
 class no_grad:
     """Context manager that disables autograd graph construction.
@@ -470,7 +463,7 @@ class Tensor:
         other = as_tensor(other)
         a, b = self.data, other.data
         a2 = None
-        if (_COLLAPSE_GEMMS and a.ndim > 2 and b.ndim == 2 and not _NO_GRAD_DEPTH
+        if (a.ndim > 2 and b.ndim == 2 and not _NO_GRAD_DEPTH
                 and (self.requires_grad or other.requires_grad)):
             a2 = a.reshape(-1, a.shape[-1])
         if _prof._ACTIVE:

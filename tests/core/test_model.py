@@ -9,7 +9,7 @@ from repro.core import TimeDRL, TimeDRLConfig
 from repro.core.pooling import pool_instance
 from repro.nn import Tensor
 from repro.nn import functional as F
-from repro.nn import tensor as tensor_module
+from repro.nn import no_grad
 
 
 def _config(**overrides):
@@ -254,14 +254,15 @@ class TestOnePassStreamIdentity:
     @pytest.mark.parametrize("backbone", ["transformer", "tcn", "lstm"])
     @pytest.mark.parametrize("geometry,batch", _CASES, ids=_CASE_IDS)
     def test_first_step_losses_bit_identical_with_per_window_gemms(
-            self, monkeypatch, geometry, batch, backbone):
-        # Per-window GEMMs are row-invariant, so stacking the views may not
-        # move a single bit of the forward.
-        monkeypatch.setattr(tensor_module, "_COLLAPSE_GEMMS", False)
+            self, geometry, batch, backbone):
+        # no_grad products keep the per-window GEMMs, which are
+        # row-invariant, so stacking the views may not move a single bit
+        # of the forward.
         stacked, reference = _pair(geometry, backbone)
         x = _windows(geometry, batch)
-        assert (_losses(stacked.pretraining_losses(x))
-                == _losses(_two_pass_losses(reference, x)))
+        with no_grad():
+            assert (_losses(stacked.pretraining_losses(x))
+                    == _losses(_two_pass_losses(reference, x)))
 
     @pytest.mark.parametrize("geometry,batch", _CASES, ids=_CASE_IDS)
     def test_resnet_keeps_one_pass_per_view(self, geometry, batch):

@@ -13,6 +13,10 @@ Three tiers, in decreasing strictness:
 
 from __future__ import annotations
 
+import json
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -20,7 +24,7 @@ from repro.checkpoint import TrainingHooks
 from repro.core import PretrainConfig, TimeDRLConfig, run_pretrain
 from repro.data.specs import materialize_data_spec, synthetic_windows_spec
 from repro.distributed import DistributedConfig, pretrain_data_parallel
-from repro.nn import tensor as tensor_module
+from repro.distributed.blas import find_openblas, usable_cpus
 
 
 def _model_config(**overrides) -> TimeDRLConfig:
@@ -136,28 +140,44 @@ class TestWorldOfTwo:
         _assert_bit_identical(from_spec, from_array)
 
 
-class _RecordGemmSwitch(TrainingHooks):
-    """Writes the rank's one-GEMM-over-all-rows switch to ``path``."""
+class _RecordBlasPool(TrainingHooks):
+    """Writes the rank's OpenBLAS thread count and its threads outside
+    Python's ``threading`` (the OpenBLAS workers) to ``path``."""
 
     def __init__(self, path):
         self.path = path
 
     def on_batch_end(self, epoch, batch, step):
-        self.path.write_text(str(tensor_module._COLLAPSE_GEMMS))
+        self.path.write_text(json.dumps(
+            [find_openblas().get_threads(), _native_threads()]))
 
 
+def _native_threads() -> int:
+    return len(os.listdir("/proc/self/task")) - threading.active_count()
+
+
+@pytest.mark.skipif(find_openblas() is None or not os.path.isdir("/proc/self/task"),
+                    reason="needs a loaded OpenBLAS and /proc/self/task")
 class TestGemmShapes:
-    @pytest.mark.parametrize("world_size, collapsed", [(1, True), (2, False)])
-    def test_ranks_of_a_group_keep_per_matrix_gemms(self, tmp_path,
-                                                     world_size, collapsed):
-        path = tmp_path / "switch"
+    @pytest.mark.parametrize("world_size", [1, 2])
+    def test_ranks_of_a_group_limit_blas_to_their_share(self, tmp_path,
+                                                        world_size):
+        caller = find_openblas().get_threads()
+        path = tmp_path / "pool"
         pretrain_data_parallel(
             _model_config(), _data(), train_config=_train_config(epochs=1),
             distributed=DistributedConfig(world_size=world_size),
-            hooks={0: _RecordGemmSwitch(path)})
-        assert path.read_text() == str(collapsed)
-        # Only the rank's own process switches.
-        assert tensor_module._COLLAPSE_GEMMS
+            hooks={0: _RecordBlasPool(path)})
+        threads, workers = json.loads(path.read_text())
+        if world_size == 1:
+            assert threads == caller
+        else:
+            share = max(1, usable_cpus() // world_size)
+            assert threads == min(caller, share)
+            if threads == 1:
+                assert workers == 0
+        # Only the rank's own process is limited.
+        assert find_openblas().get_threads() == caller
 
 
 class TestConfigResolution:

@@ -14,6 +14,7 @@ import pytest
 from repro.checkpoint import CheckpointConfig, PoisonLossAt
 from repro.core import PretrainConfig, TimeDRLConfig, run_pretrain
 from repro.distributed import DistributedConfig, pretrain_data_parallel
+from repro.distributed.blas import find_openblas, usable_cpus
 from repro.obs import metrics as obs_metrics
 from repro.telemetry import Run
 
@@ -94,6 +95,26 @@ class TestWorldOfTwoRecords:
         throughput = obs_registry.get("dist_worker_throughput")
         for rank in ("0", "1"):
             assert throughput.labels(rank=rank).value > 0
+
+    def test_every_rank_reports_its_blas_pool(self, tmp_path):
+        config = PretrainConfig(epochs=1, batch_size=8, seed=0,
+                                telemetry=True,
+                                run_root=str(tmp_path / "runs"))
+        result = pretrain_data_parallel(
+            _model_config(), _data(), train_config=config,
+            distributed=DistributedConfig(world_size=2))
+        pools = sorted(_events(Run.load(result.run_dir), "worker",
+                               action="blas"), key=lambda e: e["rank"])
+        assert [pool["rank"] for pool in pools] == [0, 1]
+        library = find_openblas()
+        for pool in pools:
+            if library is None:
+                assert pool["threads_after"] is None
+                continue
+            assert pool["library"] == library.path
+            assert pool["threads_before"] == library.get_threads()
+            assert pool["threads_after"] == min(
+                pool["threads_before"], max(1, usable_cpus() // 2))
 
 
 class TestEmptyData:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.nn import Tensor, concatenate, maximum, minimum, no_grad, stack, where
-from repro.nn import tensor as tensor_module
 from repro.nn.tensor import _unbroadcast
 
 from ..helpers import check_gradients
@@ -177,13 +176,10 @@ class TestMatmulGradients:
     def test_batched_matrix_vector(self):
         check_gradients(lambda ts: (ts[0] @ ts[1]).sum(), [(2, 3, 4), (4,)])
 
-    @pytest.mark.parametrize("collapse", [True, False])
     @pytest.mark.parametrize("a_shape", [(2, 3, 4), (2, 2, 3, 4)])
-    def test_batched_2d_rhs_both_gemm_shapes(self, monkeypatch, a_shape, collapse):
-        # A (..., m, k) @ (k, n) product runs as one GEMM over all rows, or
-        # as per-matrix GEMMs in a data-parallel rank; squaring feeds the
-        # backward a non-uniform gradient.
-        monkeypatch.setattr(tensor_module, "_COLLAPSE_GEMMS", collapse)
+    def test_batched_2d_rhs_one_gemm(self, a_shape):
+        # A (..., m, k) @ (k, n) product runs as one GEMM over all rows;
+        # squaring feeds the backward a non-uniform gradient.
         check_gradients(lambda ts: ((ts[0] @ ts[1]) ** 2).sum(), [a_shape, (4, 5)])
 
 
@@ -210,11 +206,6 @@ class TestGemmShapes:
 
     def test_product_without_grad_operands_keeps_per_matrix_gemms(self):
         out = Tensor(self.a) @ Tensor(self.b)
-        assert np.array_equal(out.data, np.matmul(self.a, self.b))
-
-    def test_switched_off_recorded_product_keeps_per_matrix_gemms(self, monkeypatch):
-        monkeypatch.setattr(tensor_module, "_COLLAPSE_GEMMS", False)
-        out = Tensor(self.a) @ Tensor(self.b, requires_grad=True)
         assert np.array_equal(out.data, np.matmul(self.a, self.b))
 
 

@@ -150,3 +150,23 @@ class TestTelemetryFlag:
                    if line.startswith("recorded run ")]
         assert len(printed) == 1
         assert (root / printed[0]).is_dir()
+
+
+class TestResumeWithoutCheckpoint:
+    @pytest.mark.parametrize("command", TRAINING_COMMANDS)
+    def test_fails_before_training(self, tmp_path, capsys, command):
+        # The run this call creates has an empty checkpoint directory, so
+        # --resume alone could never find a checkpoint.
+        flags, __, __ = TELEMETRY_RUNS[command]
+        root = tmp_path / "runs"
+        assert main([command, *flags, "--epochs", "1", "--telemetry",
+                     "--run-root", str(root), "--resume"]) == 1
+        error = capsys.readouterr().err
+        assert "nothing to resume" in error
+        assert "--checkpoint DIR" in error
+        assert "repro runs resume RUN_ID" in error
+        run, = list_runs(root)
+        loaded = Run.load(run["directory"])
+        assert loaded.epoch_metrics == []
+        assert not [event for event in loaded.events
+                    if event["type"] == "step"]
