@@ -6,7 +6,9 @@ same geometry as ``test_perf_autograd.py``), with the same paired
 interleaved min-of-reps methodology, and writes a ``compiled`` section
 into both ``BENCH_autograd.json`` (encode latency / speedups) and
 ``BENCH_serve.json`` (serve-throughput of the artifacts through the
-registry + micro-batching service).
+registry + micro-batching service).  Both sections record ``host_cpus``,
+the CPUs the process may run on, so a re-run can tell whether it is
+comparable with the committed numbers.
 
 Rows and their gates:
 
@@ -22,6 +24,7 @@ Rows and their gates:
 """
 
 import json
+import os
 import pathlib
 import time
 
@@ -92,6 +95,7 @@ def _measure_encode() -> dict:
     fused = best["fused_nograd"]
     return {
         "workload": dict(WORKLOAD),
+        "host_cpus": len(os.sched_getaffinity(0)),
         "timer": {"warmup": WARMUP, "reps": REPS, "statistic": "min",
                   "pairing": "all variants interleaved per rep"},
         "encode_min_s": {name: float(value) for name, value in best.items()},
@@ -150,6 +154,7 @@ def test_perf_compile(benchmark, tmp_path):
     _merge(SERVE_PATH, {"workload": {"windows": SERVE_WINDOWS,
                                      **{k: WORKLOAD[k] for k in
                                         ("seq_len", "channels")}},
+                        "host_cpus": len(os.sched_getaffinity(0)),
                         "throughput": serve_rows})
 
     print()

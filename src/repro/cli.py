@@ -1619,6 +1619,9 @@ def _run_experiment(args) -> int:
     preset = get_scale(args.scale)
     console_log(f"running {args.experiment} at scale {preset.name!r}")
     if args.telemetry:
+        from .core.pretrain import reject_fresh_run_resume
+
+        reject_fresh_run_resume(_checkpoint_from_args(args))
         run = Run.create(root=args.run_root, name=args.experiment,
                          seed=args.seed, tags={"experiment": args.experiment,
                                                "scale": preset.name})

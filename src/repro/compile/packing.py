@@ -8,8 +8,9 @@ canonical form that is checksummed, quantized, and serialized by
 back into the :class:`~repro.nn.inference.PackedSequenceEncoder` hot
 path, performing the layout work exactly once:
 
-* Linear weights transpose to ``(in, out)`` Fortran order (the optimal
-  GEMM operand; for a C-contiguous ``(out, in)`` weight this is a view);
+* Linear weights transpose to a C-contiguous ``(in, out)`` array, the
+  operand ``nn.Linear``'s per-window GEMM takes under ``no_grad``
+  (docs/autograd.md "GEMM shapes");
 * the Q/K/V projections fuse column-wise into a single ``(in, 3*d)``
   weight — one GEMM per layer instead of three, bit-identical blocks;
 * the positional table and the causal mask (decoder ablation) are baked
@@ -130,7 +131,7 @@ def build_packed_linear(arrays: dict, prefix: str,
         # applied to the layer *output*, never to the weight per call.
         weight = weight.astype(DEFAULT_DTYPE)
         scale = np.ascontiguousarray(scale, dtype=DEFAULT_DTYPE)
-    packed = np.asfortranarray(weight.T)
+    packed = np.ascontiguousarray(weight.T)
     bias = arrays.get(f"{prefix}.bias")
     return PackedLinear(weight=packed, bias=bias, scale=scale,
                         name=name or f"packed.{prefix.split('.')[-1]}")
@@ -148,7 +149,7 @@ def _fused_qkv(arrays: dict, prefix: str) -> PackedLinear | None:
     scale = (np.concatenate(scales).astype(DEFAULT_DTYPE)
              if scales[0] is not None else None)
     bias = np.concatenate([arrays[f"{prefix}.{part}.bias"] for part in "qkv"])
-    return PackedLinear(weight=np.asfortranarray(weight.T), bias=bias,
+    return PackedLinear(weight=np.ascontiguousarray(weight.T), bias=bias,
                         scale=scale, name="packed.qkv")
 
 

@@ -621,6 +621,18 @@ def run_pretrain(model_config: TimeDRLConfig, data,
                          run, hooks, dist)
 
 
+def reject_fresh_run_resume(ckpt_cfg) -> None:
+    """Raise ``ValueError`` for a ``resume`` with no checkpoint directory,
+    called before a run is created for it: it would resume from the new
+    run's own checkpoint directory, which starts empty."""
+    if ckpt_cfg is not None and ckpt_cfg.resume and not ckpt_cfg.directory:
+        raise ValueError(
+            "nothing to resume: a run created by this call starts with an "
+            "empty checkpoint directory; pass the directory to resume from "
+            "(--checkpoint DIR) or restart the recorded run "
+            "(repro runs resume RUN_ID)")
+
+
 @contextmanager
 def phase_run(run, wiring: PretrainConfig, **manifest):
     """The telemetry run one training phase reports into.
@@ -633,10 +645,14 @@ def phase_run(run, wiring: PretrainConfig, **manifest):
     recovery policy aborts training, and marked ``crashed`` with a
     traceback on any other exception.  With telemetry off the phase gets
     :data:`NULL_RUN`.
+
+    A ``resume`` with no checkpoint directory raises ``ValueError``
+    before the run is created (:func:`reject_fresh_run_resume`).
     """
     if run is not None or not wiring.telemetry:
         yield NULL_RUN if run is None else run
         return
+    reject_fresh_run_resume(wiring.checkpoint)
     run = Run.create(root=wiring.run_root, name=wiring.run_name,
                      log_to_console=wiring.verbose, **manifest)
     try:

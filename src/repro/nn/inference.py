@@ -2,19 +2,19 @@
 
 The fused kernels (:mod:`repro.nn.functional`) removed the per-node
 autograd bookkeeping but still re-materialize weight layouts on every
-call — each ``Linear`` transposes ``(out, in)`` to ``(in, out)`` for the
-GEMM, attention re-derives the causal mask, and the positional table is
-re-sliced per forward.  This module consumes weights that
-:mod:`repro.compile.packing` has already transposed into contiguous
-(Fortran-order) GEMM layout once, at compile time, and runs the encoder
-forward as plain NumPy with in-place elementwise kernels.
+call — each ``Linear`` copies its ``(out, in)`` weight to a C-contiguous
+``(in, out)`` GEMM operand, attention re-derives the causal mask, and
+the positional table is re-sliced per forward.  This module consumes
+weights that :mod:`repro.compile.packing` has already laid out that
+way once, at load time, and runs the encoder forward as plain NumPy
+with in-place elementwise kernels.
 
 Two numeric modes, selected per :class:`PackedSequenceEncoder`:
 
 * ``exact_gelu=True`` — every op replays the fused path's exact NumPy
   expression sequence (in-place variants of the same ufuncs), so the
   packed fp32 forward is **bit-identical** to the fused ``no_grad``
-  forward.  ``tests/compile/test_packed_equivalence.py`` locks this.
+  forward.  ``tests/compile/test_packed.py`` locks this.
 * ``exact_gelu=False`` — GELU uses the tanh approximation instead of
   the vectorised erf of :mod:`repro.nn.erf` (about 9 ufunc calls
   against about 45); everything else is unchanged.  Outputs drift by
@@ -59,15 +59,15 @@ _F32_HALF = np.float32(0.5)
 class PackedLinear:
     """Affine map with the weight pre-transposed to ``(in, out)``.
 
-    ``weight`` is Fortran-order float32 — exactly the layout BLAS wants
-    for ``x @ W.T`` — so the per-call transpose/copy of ``nn.Linear`` is
-    gone.  For int8-quantized layers the stored values are the quantized
+    ``weight`` is C-contiguous float32, the operand of the per-window
+    GEMM ``nn.Linear`` runs under ``no_grad`` (docs/autograd.md "GEMM
+    shapes"), so the per-call copy of ``nn.Linear`` is gone.  For int8-quantized layers the stored values are the quantized
     grid points cast to float32 once at build time ("dequant-free": the
     hot loop runs one fp32 GEMM, then applies the per-output-channel
     ``scale`` to the *output*, never re-expanding the weight).
     """
 
-    weight: np.ndarray            # (in, out), float32, F-order
+    weight: np.ndarray            # (in, out), float32, C-contiguous
     bias: np.ndarray | None       # (out,), float32
     scale: np.ndarray | None = None  # (out,) per-channel int8 scale, or None
     name: str = "packed.linear"

@@ -458,13 +458,16 @@ class Tensor:
         A ``(..., m, k) @ (k, n)`` product that records a graph node runs
         as one ``(N*m, k) @ (k, n)`` GEMM, and so does each gradient of its
         backward; every other product keeps ``np.matmul``'s per-matrix
-        GEMMs (see docs/autograd.md "GEMM shapes").
+        GEMMs, with a 2-D right operand made C-contiguous first (see
+        docs/autograd.md "GEMM shapes").
         """
         other = as_tensor(other)
         a, b = self.data, other.data
         a2 = None
-        if (a.ndim > 2 and b.ndim == 2 and not _NO_GRAD_DEPTH
-                and (self.requires_grad or other.requires_grad)):
+        if _NO_GRAD_DEPTH or not (self.requires_grad or other.requires_grad):
+            if b.ndim == 2:
+                b = np.ascontiguousarray(b)
+        elif a.ndim > 2 and b.ndim == 2:
             a2 = a.reshape(-1, a.shape[-1])
         if _prof._ACTIVE:
             t0 = _prof._now()

@@ -4,7 +4,7 @@ against central finite differences."""
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, concatenate, maximum, minimum, no_grad, stack, where
+from repro.nn import Linear, Tensor, concatenate, maximum, minimum, no_grad, stack, where
 from repro.nn.tensor import _unbroadcast
 
 from ..helpers import check_gradients
@@ -199,14 +199,34 @@ class TestGemmShapes:
         assert np.array_equal(out.data, expected)
 
     def test_no_grad_product_keeps_per_matrix_gemms(self):
-        # Row-invariant results: serving's bit-identity contracts rest on it.
+        # One GEMM per window against a C-contiguous (in, out) weight.
         with no_grad():
             out = Tensor(self.a) @ Tensor(self.b, requires_grad=True)
-        assert np.array_equal(out.data, np.matmul(self.a, self.b))
+        assert np.array_equal(
+            out.data, np.matmul(self.a, np.ascontiguousarray(self.b)))
 
     def test_product_without_grad_operands_keeps_per_matrix_gemms(self):
         out = Tensor(self.a) @ Tensor(self.b)
-        assert np.array_equal(out.data, np.matmul(self.a, self.b))
+        assert np.array_equal(
+            out.data, np.matmul(self.a, np.ascontiguousarray(self.b)))
+
+    # Every Linear shape of the e2e benchmark model (7 channels, patch 8,
+    # d_model 64): token, q/k/v/out, ff1, ff2, head, and the packed
+    # path's fused q/k/v.
+    @pytest.mark.parametrize("k, n", [(56, 64), (64, 64), (64, 192),
+                                      (64, 256), (256, 64), (64, 56)])
+    def test_no_grad_linear_rows_do_not_depend_on_batch(self, k, n):
+        # Serving's bit-identity contracts rest on this: a window encodes
+        # to the same bytes whatever batch it is coalesced into.
+        rng = np.random.default_rng(k * n)
+        layer = Linear(k, n, rng=rng)
+        x = rng.standard_normal((32, 9, k)).astype(np.float32)
+        with no_grad():
+            whole = layer(Tensor(x)).data
+            for size in (1, 3, 8):
+                parts = [layer(Tensor(x[i:i + size])).data
+                         for i in range(0, 32, size)]
+                assert np.array_equal(np.concatenate(parts), whole), size
 
 
 class TestShapeOps:

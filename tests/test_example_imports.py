@@ -13,6 +13,7 @@ from __future__ import annotations
 import ast
 import importlib
 import pathlib
+import re
 import textwrap
 
 import pytest
@@ -23,18 +24,38 @@ CI = REPO / ".github" / "workflows" / "ci.yml"
 HEREDOC = "python - <<'EOF'"
 
 
-def heredocs(text: str) -> list[tuple[int, str]]:
-    """``(line, source)`` of every ``python - <<'EOF'`` block in a
-    workflow file; ``line`` is the block's first source line."""
+def _slug(name: str) -> str:
+    """The first four words of a step name, lower case, joined by ``-``
+    (short enough that a ``-2`` suffix survives in test reports)."""
+    return "-".join(re.findall(r"[a-z0-9]+", name.lower())[:4])
+
+
+def heredocs(text: str) -> list[tuple[str, str]]:
+    """``(id, source)`` of every ``python - <<'EOF'`` block in a
+    workflow file.  ``id`` is ``job/step``, from the job key and the
+    enclosing step's ``name`` (see :func:`_slug`), with ``-2``, ``-3``...
+    on later blocks of the same step, so adding a line to the file
+    renames no case."""
     lines = text.splitlines()
     blocks = []
+    job = step = ""
     for number, line in enumerate(lines):
-        if line.rstrip().endswith(HEREDOC):
+        if re.fullmatch(r"  [\w-]+:", line):
+            job = line.strip()[:-1]
+        elif line.lstrip().startswith("- name:"):
+            step = _slug(line.split(":", 1)[1])
+        elif line.rstrip().endswith(HEREDOC):
             end = next(i for i in range(number + 1, len(lines))
                        if lines[i].strip() == "EOF")
-            blocks.append((number + 2, textwrap.dedent(
+            blocks.append((f"{job}/{step}", textwrap.dedent(
                 "\n".join(lines[number + 1:end]))))
-    return blocks
+    seen: dict[str, int] = {}
+    named = []
+    for name, source in blocks:
+        seen[name] = seen.get(name, 0) + 1
+        named.append((name if seen[name] == 1 else f"{name}-{seen[name]}",
+                      source))
+    return named
 
 
 CI_BLOCKS = heredocs(CI.read_text())
@@ -88,10 +109,23 @@ def test_every_ci_heredoc_was_found():
     assert len(CI_BLOCKS) == CI.read_text().count(HEREDOC) > 0
 
 
-@pytest.mark.parametrize("line, source", CI_BLOCKS,
-                         ids=[f"ci.yml:{line}" for line, __ in CI_BLOCKS])
-def test_ci_heredoc_imports_resolve(line, source):
-    imports = repro_imports(ast.parse(source, filename=f"ci.yml:{line}"))
+def test_ci_heredoc_ids_are_unique_and_line_free():
+    ids = [name for name, __ in CI_BLOCKS]
+    assert len(set(ids)) == len(ids)
+    text = CI.read_text()
+    shifted = text.replace("jobs:\n", "jobs:\n# a line above every block\n", 1)
+    assert [name for name, __ in heredocs(shifted)] == ids
+    assert heredocs("jobs:\n  a:\n    steps:\n      - name: Smoke `x` -> y\n"
+                    f"        run: |\n          {HEREDOC}\n          pass\n"
+                    f"          EOF\n          {HEREDOC}\n          pass\n"
+                    "          EOF\n") == [("a/smoke-x-y", "pass"),
+                                           ("a/smoke-x-y-2", "pass")]
+
+
+@pytest.mark.parametrize("name, source", CI_BLOCKS,
+                         ids=[name for name, __ in CI_BLOCKS])
+def test_ci_heredoc_imports_resolve(name, source):
+    imports = repro_imports(ast.parse(source, filename=f"ci.yml:{name}"))
     assert unresolved(imports) == []
 
 

@@ -155,8 +155,9 @@ class TestTelemetryFlag:
 class TestResumeWithoutCheckpoint:
     @pytest.mark.parametrize("command", TRAINING_COMMANDS)
     def test_fails_before_training(self, tmp_path, capsys, command):
-        # The run this call creates has an empty checkpoint directory, so
-        # --resume alone could never find a checkpoint.
+        # A run this call created would have an empty checkpoint
+        # directory, so --resume alone could never find a checkpoint: the
+        # call is rejected before it records a (crashed) run.
         flags, __, __ = TELEMETRY_RUNS[command]
         root = tmp_path / "runs"
         assert main([command, *flags, "--epochs", "1", "--telemetry",
@@ -165,8 +166,15 @@ class TestResumeWithoutCheckpoint:
         assert "nothing to resume" in error
         assert "--checkpoint DIR" in error
         assert "repro runs resume RUN_ID" in error
-        run, = list_runs(root)
-        loaded = Run.load(run["directory"])
-        assert loaded.epoch_metrics == []
-        assert not [event for event in loaded.events
-                    if event["type"] == "step"]
+        assert "Traceback" not in error
+        assert list_runs(root) == []
+        assert main(["runs", "list", "--root", str(root)]) == 0
+        assert "no runs under" in capsys.readouterr().out
+
+    def test_experiment_fails_before_creating_a_run(self, tmp_path, capsys):
+        root = tmp_path / "runs"
+        assert main(["table3", "--datasets", "ETTh1", "--scale", "smoke",
+                     "--telemetry", "--run-root", str(root),
+                     "--resume"]) == 1
+        assert "nothing to resume" in capsys.readouterr().err
+        assert list_runs(root) == []
