@@ -14,9 +14,9 @@ Rows and their gates:
 
 * ``packed_fp32_exact`` — bit-identical exact mode (erf GELU, separate
   q/k/v GEMMs).  Enforced: >= 1.15x.  Both sides run the same vectorised
-  erf (``repro.nn.erf``), so the row measures packing and in-place
-  kernels alone; five runs on a 2-core host measured 1.22x to 1.34x,
-  and the floor sits below their minimum.
+  erf (``repro.nn.erf``) and the same ``(in, out)`` weights, so the row
+  measures packing and in-place kernels alone; five runs on a 2-core
+  host measured 1.17x to 1.25x, and the floor sits below their minimum.
 * ``packed_int8`` — the default fast path (tanh GELU, fused QKV,
   dequant-free int8 grid).  Enforced: >= 1.5x vs the fused fp path.
 * ``student_int8`` — a distilled 32-wide 1-layer student, quantized.

@@ -41,7 +41,7 @@ from .state import TrainingState
 __all__ = ["CheckpointManager", "CheckpointInfo", "CheckpointError",
            "FORMAT_VERSION", "INDEX_NAME"]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # 2: every Linear weight is stored (in, out)
 INDEX_NAME = "index.json"
 
 

@@ -3,7 +3,7 @@
 Turns a pre-trained checkpoint into a packed, checksummed inference
 artifact (ROADMAP item 3 / ISSUE 10):
 
-* **pre-packing** — transposed, contiguous, QKV-fused weight layouts
+* **pre-packing** — ``(in, out)`` C-contiguous, QKV-fused weight layouts
   consumed by the :mod:`repro.nn.inference` no_grad fast forward; the
   fp32 exact path is bit-identical to the fused forward;
 * **quantization** — per-channel symmetric int8 with activation-range

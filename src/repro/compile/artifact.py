@@ -31,7 +31,7 @@ __all__ = [
     "is_compiled_artifact",
 ]
 
-COMPILED_FORMAT_VERSION = 1
+COMPILED_FORMAT_VERSION = 2  # 2: every Linear weight is stored (in, out)
 COMPILED_MAGIC = "repro-compiled"
 
 

@@ -8,8 +8,8 @@ canonical form that is checksummed, quantized, and serialized by
 back into the :class:`~repro.nn.inference.PackedSequenceEncoder` hot
 path, performing the layout work exactly once:
 
-* Linear weights transpose to a C-contiguous ``(in, out)`` array, the
-  operand ``nn.Linear``'s per-window GEMM takes under ``no_grad``
+* Linear weights keep ``nn.Linear``'s C-contiguous ``(in, out)`` layout,
+  the operand of its per-window GEMM under ``no_grad``
   (docs/autograd.md "GEMM shapes");
 * the Q/K/V projections fuse column-wise into a single ``(in, 3*d)``
   weight — one GEMM per layer instead of three, bit-identical blocks;
@@ -48,13 +48,14 @@ COMPILABLE_BACKBONES = ("transformer", "transformer_decoder")
 
 
 def _export_linear(arrays: dict, prefix: str, linear) -> None:
-    arrays[f"{prefix}.weight"] = np.ascontiguousarray(linear.weight.data)
+    arrays[f"{prefix}.weight"] = linear.weight.data.copy()
     if linear.bias is not None:
-        arrays[f"{prefix}.bias"] = np.ascontiguousarray(linear.bias.data)
+        arrays[f"{prefix}.bias"] = linear.bias.data.copy()
 
 
 def export_model_arrays(model) -> tuple[dict[str, np.ndarray], dict]:
-    """Export ``model``'s inference parameters as ``(arrays, structure)``.
+    """Export a C-contiguous copy of ``model``'s inference parameters as
+    ``(arrays, structure)``, so later training cannot change an artifact.
 
     ``model`` is a ``TimeDRL`` or a distilled ``StudentModel`` (duck
     typed: ``.config``, ``.encoder``, ``.predictive_head``, and for
@@ -69,8 +70,8 @@ def export_model_arrays(model) -> tuple[dict[str, np.ndarray], dict]:
             f"repro.compile supports {', '.join(COMPILABLE_BACKBONES)}")
     encoder = model.encoder
     arrays: dict[str, np.ndarray] = {
-        "cls_token": np.ascontiguousarray(encoder.cls_token.data),
-        "pos": np.ascontiguousarray(encoder.positional_encoding.weight.data),
+        "cls_token": encoder.cls_token.data.copy(),
+        "pos": encoder.positional_encoding.weight.data.copy(),
     }
     _export_linear(arrays, "token", encoder.token_encoding)
     eps: dict[str, float] = {}
@@ -88,10 +89,8 @@ def export_model_arrays(model) -> tuple[dict[str, np.ndarray], dict]:
         _export_linear(arrays, f"{prefix}.ff2", layer.ff2)
         for norm_name in ("norm1", "norm2"):
             norm = getattr(layer, norm_name)
-            arrays[f"{prefix}.{norm_name}.weight"] = np.ascontiguousarray(
-                norm.weight.data)
-            arrays[f"{prefix}.{norm_name}.bias"] = np.ascontiguousarray(
-                norm.bias.data)
+            arrays[f"{prefix}.{norm_name}.weight"] = norm.weight.data.copy()
+            arrays[f"{prefix}.{norm_name}.bias"] = norm.bias.data.copy()
             eps[f"{prefix}.{norm_name}"] = float(norm.eps)
     _export_linear(arrays, "head", model.predictive_head.proj)
     distilled = hasattr(model, "patch_proj")
@@ -131,9 +130,8 @@ def build_packed_linear(arrays: dict, prefix: str,
         # applied to the layer *output*, never to the weight per call.
         weight = weight.astype(DEFAULT_DTYPE)
         scale = np.ascontiguousarray(scale, dtype=DEFAULT_DTYPE)
-    packed = np.ascontiguousarray(weight.T)
     bias = arrays.get(f"{prefix}.bias")
-    return PackedLinear(weight=packed, bias=bias, scale=scale,
+    return PackedLinear(weight=weight, bias=bias, scale=scale,
                         name=name or f"packed.{prefix.split('.')[-1]}")
 
 
@@ -144,13 +142,12 @@ def _fused_qkv(arrays: dict, prefix: str) -> PackedLinear | None:
     if sum(scale is not None for scale in scales) not in (0, 3):
         return None
     weights = [arrays[f"{prefix}.{part}.weight"] for part in "qkv"]
-    weight = np.concatenate(
-        [w.astype(DEFAULT_DTYPE) for w in weights], axis=0)
+    weight = np.concatenate([w.astype(DEFAULT_DTYPE) for w in weights], axis=1)
     scale = (np.concatenate(scales).astype(DEFAULT_DTYPE)
              if scales[0] is not None else None)
     bias = np.concatenate([arrays[f"{prefix}.{part}.bias"] for part in "qkv"])
-    return PackedLinear(weight=np.ascontiguousarray(weight.T), bias=bias,
-                        scale=scale, name="packed.qkv")
+    return PackedLinear(weight=weight, bias=bias, scale=scale,
+                        name="packed.qkv")
 
 
 def build_packed_encoder(arrays: dict, structure: dict,

@@ -1,7 +1,7 @@
 """The weight-quantization pass: per-channel symmetric int8 + calibration.
 
-Every quantizable linear weight ``W (out, in)`` gets one scale per
-*output channel*: ``scale_j = max_i |W[j, i]| / 127`` and
+Every quantizable linear weight ``W (in, out)`` gets one scale per
+*output channel*: ``scale_j = max_i |W[i, j]| / 127`` and
 ``Q = clip(round(W / scale), -127, 127)`` — symmetric (no zero point),
 so the dequantized grid ``Q * scale`` is exactly representable and the
 hot path stays dequant-free (one fp32 GEMM against the int8 grid cast
@@ -55,17 +55,16 @@ class LayerQuantization:
 
 def quantize_weight(weight: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Per-channel symmetric int8: ``(Q, scale, max_abs_err)``.
-
-    All-zero rows get ``scale=1`` so the division is always defined (the
-    row quantizes to zeros exactly).
+    """Per-output-column symmetric int8 of an ``(in, out)`` weight:
+    ``(Q, scale, max_abs_err)``.  All-zero columns get ``scale=1`` so the
+    division is always defined (the column quantizes to zeros exactly).
     """
     weight = np.asarray(weight, dtype=DEFAULT_DTYPE)
-    absmax = np.abs(weight).max(axis=1)
+    absmax = np.abs(weight).max(axis=0)
     scale = (absmax / np.float32(127.0)).astype(DEFAULT_DTYPE)
     scale[scale == 0] = np.float32(1.0)
-    q = np.clip(np.rint(weight / scale[:, None]), -127, 127).astype(np.int8)
-    dequantized = q.astype(DEFAULT_DTYPE) * scale[:, None]
+    q = np.clip(np.rint(weight / scale), -127, 127).astype(np.int8)
+    dequantized = q.astype(DEFAULT_DTYPE) * scale
     max_err = float(np.abs(weight - dequantized).max()) if weight.size else 0.0
     return q, scale, max_err
 
@@ -157,7 +156,7 @@ def plan_quantization(arrays: dict[str, np.ndarray], structure: dict,
         q, scale, max_err = quantize_weight(weight)
         act_absmax = float(act_ranges.get(prefix, 0.0))
         predicted = (act_absmax * float(scale.max()) / 2.0
-                     * float(np.sqrt(weight.shape[1])))
+                     * float(np.sqrt(weight.shape[0])))
         quantized = predicted <= error_budget
         if quantized:
             out[f"{prefix}.weight"] = q

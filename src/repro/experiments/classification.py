@@ -78,8 +78,8 @@ def run_classification_method(method: str, dataset: str, data: ClassificationDat
                               run=None) -> dict[str, float]:
     """Pre-train + probe one method; returns ``{"ACC", "MF1", "kappa"}``.
 
-    ``checkpoint`` applies to the TimeDRL pre-training only (baselines own
-    their fit loops): each dataset checkpoints into its own subdirectory
+    Every method trains through the same loop, but only TimeDRL is given
+    ``checkpoint``: each dataset checkpoints into its own subdirectory
     (of the telemetry ``run``'s directory when no directory is given)
     with a data spec so ``repro runs resume`` can rebuild the samples.
     """

@@ -117,8 +117,8 @@ def run_forecasting_method(method: str, prepared: dict, preset: ScalePreset,
                            run=None) -> dict[int, tuple[float, float]]:
     """Run one method over every horizon; returns ``{horizon: (mse, mae)}``.
 
-    ``checkpoint`` applies to the TimeDRL pre-training only (baselines own
-    their fit loops); without a directory it lands under the telemetry
+    Every method trains through the same loop, but only TimeDRL is given
+    ``checkpoint``; without a directory it lands under the telemetry
     ``run``'s directory when one is given.
     """
     horizons = prepared["horizons"]

@@ -1,12 +1,11 @@
 """Packed forward-only kernels: the compiled no_grad fast path.
 
 The fused kernels (:mod:`repro.nn.functional`) removed the per-node
-autograd bookkeeping but still re-materialize weight layouts on every
-call — each ``Linear`` copies its ``(out, in)`` weight to a C-contiguous
-``(in, out)`` GEMM operand, attention re-derives the causal mask, and
-the positional table is re-sliced per forward.  This module consumes
-weights that :mod:`repro.compile.packing` has already laid out that
-way once, at load time, and runs the encoder forward as plain NumPy
+autograd bookkeeping but still re-derive the causal mask and re-slice
+the positional table per forward.  This module consumes the arrays
+:mod:`repro.compile.packing` prepares once, at load time — each
+``Linear`` weight in the same C-contiguous ``(in, out)`` layout as the
+``nn.Linear`` parameter — and runs the encoder forward as plain NumPy
 with in-place elementwise kernels.
 
 Two numeric modes, selected per :class:`PackedSequenceEncoder`:
@@ -57,14 +56,15 @@ _F32_HALF = np.float32(0.5)
 
 @dataclass
 class PackedLinear:
-    """Affine map with the weight pre-transposed to ``(in, out)``.
+    """Affine map ``x @ weight (* scale) + bias`` over the last axis.
 
-    ``weight`` is C-contiguous float32, the operand of the per-window
-    GEMM ``nn.Linear`` runs under ``no_grad`` (docs/autograd.md "GEMM
-    shapes"), so the per-call copy of ``nn.Linear`` is gone.  For int8-quantized layers the stored values are the quantized
-    grid points cast to float32 once at build time ("dequant-free": the
-    hot loop runs one fp32 GEMM, then applies the per-output-channel
-    ``scale`` to the *output*, never re-expanding the weight).
+    ``weight`` is C-contiguous float32 ``(in, out)``, the layout of the
+    ``nn.Linear`` parameter and the operand of its per-window GEMM under
+    ``no_grad`` (docs/autograd.md "GEMM shapes").  For int8-quantized
+    layers the stored values are the quantized grid points cast to
+    float32 once at build time ("dequant-free": the hot loop runs one
+    fp32 GEMM, then applies the per-output-channel ``scale`` to the
+    *output*, never re-expanding the weight).
     """
 
     weight: np.ndarray            # (in, out), float32, C-contiguous

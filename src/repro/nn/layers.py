@@ -30,7 +30,9 @@ __all__ = [
 
 
 class Linear(Module):
-    """Affine map ``y = x @ W.T + b`` over the last axis of ``x``."""
+    """Affine map ``y = x @ W + b`` over the last axis of ``x``; ``W`` is
+    the C-contiguous ``(in, out)`` transpose of an ``(out, in)`` Kaiming
+    draw (docs/autograd.md "GEMM shapes")."""
 
     def __init__(self, in_features: int, out_features: int, bias: bool = True,
                  rng: np.random.Generator | None = None):
@@ -38,7 +40,7 @@ class Linear(Module):
         rng = rng or np.random.default_rng()
         self.in_features = in_features
         self.out_features = out_features
-        self.weight = Parameter(init.kaiming_uniform((out_features, in_features), rng))
+        self.weight = Parameter(init.kaiming_uniform((out_features, in_features), rng).T.copy())
         if bias:
             bound = 1.0 / np.sqrt(in_features)
             self.bias = Parameter(rng.uniform(-bound, bound, size=out_features).astype(np.float32))
@@ -46,7 +48,7 @@ class Linear(Module):
             self.bias = None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight.transpose()
+        out = x @ self.weight
         if self.bias is not None:
             out = out + self.bias
         return out

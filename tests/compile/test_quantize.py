@@ -18,25 +18,25 @@ from repro.compile.quantize import ActivationObserver, record_range
 class TestQuantizeWeight:
     def test_roundtrip_error_bounded_by_half_scale(self):
         rng = np.random.default_rng(0)
-        w = rng.standard_normal((16, 24)).astype(np.float32)
+        w = rng.standard_normal((24, 16)).astype(np.float32)  # (in, out)
         q, scale, max_err = quantize_weight(w)
         assert q.dtype == np.int8
         assert scale.shape == (16,)
-        dequant = q.astype(np.float32) * scale[:, None]
-        per_row_err = np.abs(w - dequant).max(axis=1)
-        assert np.all(per_row_err <= scale / 2 + 1e-7)
-        assert max_err == pytest.approx(per_row_err.max())
+        dequant = q.astype(np.float32) * scale
+        per_column_err = np.abs(w - dequant).max(axis=0)
+        assert np.all(per_column_err <= scale / 2 + 1e-7)
+        assert max_err == pytest.approx(per_column_err.max())
 
-    def test_zero_row_guard(self):
-        w = np.zeros((3, 8), dtype=np.float32)
-        w[1] = np.linspace(-1, 1, 8)
+    def test_zero_column_guard(self):
+        w = np.zeros((8, 3), dtype=np.float32)
+        w[:, 1] = np.linspace(-1, 1, 8)
         q, scale, __ = quantize_weight(w)
         assert scale[0] == 1.0 and scale[2] == 1.0
-        assert not q[0].any() and not q[2].any()
+        assert not q[:, 0].any() and not q[:, 2].any()
         assert np.abs(q).max() == 127
 
     def test_symmetric_range(self):
-        w = np.array([[-2.0, 0.5, 1.0]], dtype=np.float32)
+        w = np.array([[-2.0], [0.5], [1.0]], dtype=np.float32)
         q, scale, __ = quantize_weight(w)
         assert scale[0] == pytest.approx(2.0 / 127.0)
         assert q.min() >= -127 and q.max() <= 127

@@ -155,7 +155,7 @@ class TestEndToEndTraining:
             loss = nn.mse_loss(layer(Tensor(x)), Tensor(y))
             loss.backward()
             opt.step()
-        np.testing.assert_allclose(layer.weight.data, true_w.T, atol=0.05)
+        np.testing.assert_allclose(layer.weight.data, true_w, atol=0.05)
 
 
 class TestWarmupCosineScheduler:
