@@ -31,6 +31,7 @@ from .manager import (
     CheckpointError,
     CheckpointInfo,
     CheckpointManager,
+    CheckpointVersionError,
     resolve_checkpoint_source,
 )
 from .recovery import RecoveryController, TrainingAborted
@@ -46,7 +47,8 @@ from .state import (
 __all__ = [
     "CheckpointConfig", "RECOVERY_ACTIONS",
     "CheckpointManager", "CheckpointInfo", "CheckpointError",
-    "FORMAT_VERSION", "INDEX_NAME", "resolve_checkpoint_source",
+    "CheckpointVersionError", "FORMAT_VERSION", "INDEX_NAME",
+    "resolve_checkpoint_source",
     "TrainingState", "capture_state", "restore_state",
     "named_rngs", "rng_state", "set_rng_state",
     "RecoveryController", "TrainingAborted",

@@ -39,7 +39,7 @@ from ..utils.fileio import atomic_write_bytes, atomic_write_text, read_with_retr
 from .state import TrainingState
 
 __all__ = ["CheckpointManager", "CheckpointInfo", "CheckpointError",
-           "FORMAT_VERSION", "INDEX_NAME"]
+           "CheckpointVersionError", "FORMAT_VERSION", "INDEX_NAME"]
 
 FORMAT_VERSION = 2  # 2: every Linear weight is stored (in, out)
 INDEX_NAME = "index.json"
@@ -47,6 +47,22 @@ INDEX_NAME = "index.json"
 
 class CheckpointError(RuntimeError):
     """A checkpoint file failed validation (checksum, version, structure)."""
+
+
+class CheckpointVersionError(CheckpointError):
+    """A readable checkpoint of a format version this build does not read.
+
+    Unlike a torn or corrupt file it is a refusal: ``load_latest``
+    raises it rather than falling back to an older archive or to step 0.
+    """
+
+    def __init__(self, version, path=None):
+        self.version = version
+        where = f"{path}: " if path is not None else ""
+        super().__init__(
+            f"{where}unsupported checkpoint format version {version!r} "
+            f"(this build reads version {FORMAT_VERSION}); re-run the "
+            "pre-training that wrote it")
 
 
 @dataclass(frozen=True)
@@ -132,9 +148,7 @@ def _unpack(payload: bytes) -> tuple[TrainingState, dict]:
         raise CheckpointError(f"corrupt metadata ({error})") from None
     version = meta.get("format_version")
     if version != FORMAT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint format version {version!r} "
-            f"(this build reads version {FORMAT_VERSION})")
+        raise CheckpointVersionError(version)
     digest = _content_digest(arrays)
     if digest != meta.get("content_sha256"):
         raise CheckpointError(
@@ -322,13 +336,18 @@ class CheckpointManager:
 
         Corrupt or unreadable checkpoints are skipped with a warning and
         the next-newest is tried — a torn file from a crash mid-write must
-        not make the whole run unresumable.  Returns ``None`` when no
-        valid checkpoint exists.
+        not make the whole run unresumable.  A checkpoint of another
+        format version is not skipped: :class:`CheckpointVersionError`
+        propagates, so a resume never silently starts over.  Returns
+        ``None`` when no valid checkpoint exists.
         """
         for entry in sorted(self.inventory(), key=lambda e: e.step,
                             reverse=True):
             try:
                 return self.load(entry.path)
+            except CheckpointVersionError as error:
+                raise CheckpointVersionError(error.version,
+                                             entry.path) from None
             except (OSError, CheckpointError) as error:
                 warn(f"[checkpoint] skipping corrupt {entry.path.name}: {error}")
         return None

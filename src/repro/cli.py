@@ -28,6 +28,7 @@ import json
 import pathlib
 import sys
 
+from .checkpoint import CheckpointVersionError
 from .experiments import (
     augmentation_ablation,
     backbone_ablation,
@@ -1588,7 +1589,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.experiment == "compile":
         return _run_compile(args)
     if args.experiment in _TRAINING_COMMANDS:
-        return _exit_on_value_error(_TRAINING_COMMANDS[args.experiment], args)
+        return _exit_on_refusal(_TRAINING_COMMANDS[args.experiment], args)
     if args.experiment == "serve":
         if args.obs_export is not None:
             args.obs = True
@@ -1608,10 +1609,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.experiment == "runs":
         try:
             return _RUNS_COMMANDS[args.runs_command](args)
-        except (FileNotFoundError, ValueError) as error:
+        except (FileNotFoundError, ValueError,
+                CheckpointVersionError) as error:
             print(f"error: {error}", file=sys.stderr)
             return 1
-    return _exit_on_value_error(_run_experiment, args)
+    return _exit_on_refusal(_run_experiment, args)
 
 
 def _run_experiment(args) -> int:
@@ -1634,13 +1636,15 @@ def _run_experiment(args) -> int:
     return 0
 
 
-def _exit_on_value_error(command, args) -> int:
-    """Run a training command; a ``ValueError`` (a request the library
-    rejects, e.g. ``--resume`` with nothing to resume) exits 1 with its
-    message instead of a traceback."""
+def _exit_on_refusal(command, args) -> int:
+    """Run a training command; a request the library refuses exits 1
+    with its message instead of a traceback: a ``ValueError`` (e.g.
+    ``--resume`` with nothing to resume) or a
+    :class:`~repro.checkpoint.CheckpointVersionError` (``--resume`` over
+    checkpoints of another format version)."""
     try:
         return command(args)
-    except ValueError as error:
+    except (ValueError, CheckpointVersionError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
 

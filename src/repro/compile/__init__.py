@@ -29,7 +29,7 @@ from .artifact import (
 )
 from .distill import DistillConfig, DistillResult, StudentModel, run_distillation
 from .errors import CompiledArtifactError, CompileError
-from .model import CompiledModel
+from .model import CompiledModel, exact_fp32_model
 from .packing import (
     COMPILABLE_BACKBONES,
     build_packed_encoder,
@@ -58,6 +58,7 @@ __all__ = [
     "build_packed_encoder",
     "compile_checkpoint",
     "compile_model",
+    "exact_fp32_model",
     "export_model_arrays",
     "is_compiled_artifact",
     "load_compiled",

@@ -16,6 +16,8 @@ whole pipeline is bit-identical to the fp teacher.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from ..core import patching
@@ -23,7 +25,7 @@ from ..core.config import TimeDRLConfig
 from .errors import CompileError
 from .packing import build_packed_encoder, build_packed_linear
 
-__all__ = ["CompiledModel"]
+__all__ = ["CompiledModel", "exact_fp32_model"]
 
 
 def _pool_instance(z_i: np.ndarray, z_t: np.ndarray, method: str) -> np.ndarray:
@@ -141,3 +143,25 @@ class CompiledModel:
                 f"exact_gelu={self.exact_gelu}, "
                 f"layers={self.meta['structure']['num_layers']}, "
                 f"d_model={self.config.d_model})")
+
+
+def exact_fp32_model(arrays: dict[str, np.ndarray], structure: dict,
+                     config: TimeDRLConfig,
+                     fingerprint: str | None = None) -> CompiledModel:
+    """The in-memory fp32 exact packed model over exported arrays.
+
+    ``(arrays, structure)`` come from
+    :func:`~repro.compile.packing.export_model_arrays` and ``config`` is
+    the exported model's own config.  Exact erf GELU and separate q/k/v
+    GEMMs keep ``encode``/``predict`` bit-identical to the source
+    model's.  The serving registry loads every transformer checkpoint
+    through it (``fingerprint`` is then the checkpoint's
+    ``content_sha256``); the compile pipeline calibrates on it.
+    """
+    meta = {"model_config": dataclasses.asdict(config),
+            "structure": structure, "precision": "fp32",
+            "exact_gelu": True, "fuse_qkv": False,
+            "distilled": structure["distilled"]}
+    if fingerprint is not None:
+        meta["content_sha256"] = fingerprint
+    return CompiledModel(dict(arrays), meta)

@@ -34,7 +34,7 @@ from ..data.store import open_store
 from ..obs.metrics import get_registry
 from .distill import DistillConfig, run_distillation
 from .errors import CompileError
-from .model import CompiledModel, _pool_instance
+from .model import CompiledModel, _pool_instance, exact_fp32_model
 from .packing import build_packed_linear, export_model_arrays
 from .quantize import observe_activation_ranges, plan_quantization, record_range
 
@@ -92,10 +92,7 @@ def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
 def _calibrate(model, arrays: dict, structure: dict, options: CompileOptions,
                windows: np.ndarray) -> dict[str, float]:
     """Activation ranges from a fp32 packed dry run over ``windows``."""
-    meta = {"model_config": dataclasses.asdict(model.config),
-            "structure": structure, "precision": "fp32", "exact_gelu": True,
-            "distilled": structure["distilled"]}
-    probe = CompiledModel(dict(arrays), meta)
+    probe = exact_fp32_model(arrays, structure, model.config)
     distilled = structure["distilled"]
     pooling = model.config.pooling
 

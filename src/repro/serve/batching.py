@@ -7,7 +7,9 @@ the same-kind prefix of the queue, up to ``max_batch_size`` windows, in
 FIFO order — and runs it.  It never holds a request back to wait for
 company; batches grow under load on their own, because requests pile up
 while a forward pass runs.  Each micro-batch runs exactly one forward
-pass under eval mode + ``no_grad`` on the fused-kernel fast path.
+pass of the loaded model: the fp32 exact packed forward for a compiled
+artifact or a transformer checkpoint, eval mode + ``no_grad`` for a
+model served as :class:`~repro.core.model.TimeDRL`.
 
 Two execution modes share the same batching core:
 
@@ -36,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import nn
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..obs.metrics import (DEFAULT_LATENCY_BUCKETS_MS, _HistogramChild,
@@ -88,12 +89,10 @@ class _ObsHandles:
 
 @dataclass
 class BatchingConfig:
-    """Engine knobs: the most windows one forward pass takes, and which
-    kernel path it runs on.  There is no wait knob: a free batcher takes
-    whatever is queued."""
+    """Engine knob: the most windows one forward pass takes.  There is
+    no wait knob: a free batcher takes whatever is queued."""
 
     max_batch_size: int = 64
-    use_fused: bool = True
 
     def __post_init__(self):
         if self.max_batch_size < 1:
@@ -522,27 +521,26 @@ class BatchingEngine:
         handles.queue_depth.set(depth)
 
     def _forward(self, kind: str, inputs: list[np.ndarray]) -> list:
-        """One fused eval/no-grad pass over the concatenated misses,
-        split back per request."""
+        """One forward pass over the concatenated misses, split back per
+        request."""
         if not inputs:
             return []
         stacked = inputs[0] if len(inputs) == 1 else np.concatenate(inputs)
-        with nn.use_fused(self.config.use_fused):
-            if kind == "encode":
-                timestamp, instance = self.loaded.model.encode(stacked)
-                ci = self.loaded.config.channel_independence
-                channels = self.loaded.config.input_channels if ci else 1
-                results, ts_row, inst_row = [], 0, 0
-                for x in inputs:
-                    n = x.shape[0]
-                    results.append((timestamp[ts_row:ts_row + n * channels],
-                                    instance[inst_row:inst_row + n * channels]))
-                    ts_row += n * channels
-                    inst_row += n * channels
-                return results
-            prediction = self.loaded.model.predict(stacked)
-            results, row = [], 0
+        if kind == "encode":
+            timestamp, instance = self.loaded.model.encode(stacked)
+            ci = self.loaded.config.channel_independence
+            channels = self.loaded.config.input_channels if ci else 1
+            results, ts_row, inst_row = [], 0, 0
             for x in inputs:
-                results.append(prediction[row:row + x.shape[0]])
-                row += x.shape[0]
+                n = x.shape[0]
+                results.append((timestamp[ts_row:ts_row + n * channels],
+                                instance[inst_row:inst_row + n * channels]))
+                ts_row += n * channels
+                inst_row += n * channels
             return results
+        prediction = self.loaded.model.predict(stacked)
+        results, row = [], 0
+        for x in inputs:
+            results.append(prediction[row:row + x.shape[0]])
+            row += x.shape[0]
+        return results

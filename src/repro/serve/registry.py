@@ -8,7 +8,14 @@ self-describing checkpoint meta (``model_config`` / ``data_spec``,
 stored there by the training loop exactly for this hand-off), and keeps
 the result warm in an in-process pool keyed by the caller's alias.
 
-Every loaded model carries the checkpoint's ``content_sha256`` as its
+A checkpoint whose backbone compiles
+(:data:`~repro.compile.packing.COMPILABLE_BACKBONES`) is served as the
+in-memory fp32 exact :class:`~repro.compile.CompiledModel` packed from
+its own arrays: plain-array kernels, outputs bit-identical to the
+rebuilt :class:`TimeDRL`.  Other backbones are served as that
+:class:`TimeDRL`.
+
+Every loaded checkpoint carries its ``content_sha256`` as its
 *fingerprint* — the cache-key half that guarantees an
 :class:`~repro.serve.EmbeddingCache` can never serve embeddings from a
 different set of weights.
@@ -23,6 +30,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..checkpoint.manager import CheckpointError, resolve_checkpoint_source
+from ..compile.artifact import is_compiled_artifact, load_compiled
+from ..compile.errors import CompileError
+from ..compile.model import exact_fp32_model
+from ..compile.packing import COMPILABLE_BACKBONES, export_model_arrays
 from ..core.config import TimeDRLConfig
 from ..core.model import TimeDRL
 from ..obs import trace as obs_trace
@@ -44,8 +55,10 @@ class LoadedModel:
     """One servable model plus the provenance the engine needs.
 
     ``model`` is anything speaking the :class:`~repro.serve.api.
-    InferenceAPI` protocol with a ``config`` — a checkpoint-rebuilt
-    :class:`TimeDRL` or a :class:`~repro.compile.CompiledModel`.
+    InferenceAPI` protocol with a ``config``: a
+    :class:`~repro.compile.CompiledModel` (a compiled artifact, or a
+    transformer checkpoint packed at load) or a checkpoint-rebuilt
+    :class:`TimeDRL` (the other backbones, and ``register``).
     """
 
     model: object
@@ -165,15 +178,14 @@ class ModelRegistry:
         ``source`` may be a checkpoint file (``ckpt-*.npz``), a checkpoint
         directory (the newest valid archive wins), a telemetry run id /
         run directory (its ``checkpoints/`` subdirectory is used), or a
-        compiled artifact (``repro compile`` output) — the latter is
-        checksum-verified and served through its packed fast path.
+        compiled artifact (``repro compile`` output).  Both are
+        checksum-verified.  A transformer checkpoint is served on the
+        fp32 exact packed forward under its own ``content_sha256``; a
+        checkpoint of a format version this build does not read is
+        refused with a :class:`RegistryError` naming the version.
         """
         started = time.perf_counter()
         with obs_trace.span("registry.load", source=str(source)):
-            # Local import: repro.compile is optional machinery the
-            # plain checkpoint path never needs to pay for.
-            from ..compile.artifact import is_compiled_artifact
-
             if is_compiled_artifact(source):
                 loaded = self._build_compiled(source)
             else:
@@ -198,9 +210,6 @@ class ModelRegistry:
         return loaded
 
     def _build_compiled(self, source) -> LoadedModel:
-        from ..compile.artifact import load_compiled
-        from ..compile.errors import CompileError
-
         try:
             compiled = load_compiled(source)
         except CompileError as error:
@@ -228,5 +237,9 @@ class ModelRegistry:
         model.load_state_dict(state.model_state, strict=True)
         model.eval()
         fingerprint = meta.get("content_sha256") or "unfingerprinted"
+        if config.backbone in COMPILABLE_BACKBONES:
+            arrays, structure = export_model_arrays(model)
+            model = exact_fp32_model(arrays, structure, config,
+                                     fingerprint=fingerprint)
         return LoadedModel(model=model, fingerprint=fingerprint,
                            config=config, meta=meta, source=source)

@@ -11,10 +11,13 @@ from repro.checkpoint import (
     CheckpointConfig,
     CheckpointError,
     CheckpointManager,
+    CheckpointVersionError,
     capture_state,
 )
 from repro.checkpoint.manager import FORMAT_VERSION, INDEX_NAME
 from repro.nn import Module, Parameter
+
+from ..helpers import set_checkpoint_format_version
 
 
 class TinyNet(Module):
@@ -136,6 +139,22 @@ class TestCorruption:
         np.savez(info.path, **arrays)
         with pytest.raises(CheckpointError, match="version"):
             manager.load(info.path)
+
+    def test_load_latest_refuses_another_format_version(self, tmp_path):
+        """A readable archive of another format version is a refusal
+        naming the version and the file, never a skipped corrupt file
+        with a fall-back to an older archive."""
+        manager = _manager(tmp_path)
+        manager.save(_state(step=1))
+        newest = manager.save(_state(step=2))
+        set_checkpoint_format_version(newest.path, 1)
+        warnings = []
+        with pytest.raises(CheckpointVersionError,
+                           match="format version 1") as caught:
+            manager.load_latest(warn=warnings.append)
+        assert caught.value.version == 1
+        assert "ckpt-00000002.npz" in str(caught.value)
+        assert warnings == []
 
     def test_load_latest_skips_corrupt_with_warning(self, tmp_path):
         manager = _manager(tmp_path)

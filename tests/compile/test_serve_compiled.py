@@ -64,9 +64,21 @@ class TestRegistry:
         with pytest.raises(RegistryError):
             registry.load(bad)
 
-    def test_fp_checkpoints_unaffected(self, checkpoint_dir):
-        loaded = ModelRegistry().load(checkpoint_dir)
-        assert type(loaded.model).__name__ == "TimeDRL"
+    def test_checkpoint_serves_the_fp32_artifact_forward(self, artifacts,
+                                                          checkpoint_dir,
+                                                          windows):
+        """A checkpoint and its fp32 artifact serve the same packed
+        forward, bit for bit, under different fingerprints."""
+        from_checkpoint = ModelRegistry().load(checkpoint_dir)
+        from_artifact = ModelRegistry().load(artifacts["fp32"])
+        assert from_checkpoint.model.kind == from_artifact.model.kind == "fp32"
+        assert from_checkpoint.fingerprint != from_artifact.fingerprint
+        x = windows[:5]
+        for got, want in zip(from_checkpoint.model.encode(x),
+                             from_artifact.model.encode(x)):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(from_checkpoint.model.predict(x),
+                                      from_artifact.model.predict(x))
 
 
 class TestGatewaySwap:

@@ -1,5 +1,5 @@
-"""Shared test utilities: finite-difference gradient checking and tiny
-out-of-core corpus builders.
+"""Shared test utilities: finite-difference gradient checking, tiny
+out-of-core corpus builders, and checkpoint rewriting.
 
 The ladder helpers build real sharded stores (manifest + multiple
 ``.npy`` shards) in a test's ``tmp_path`` but at toy scale — a few
@@ -10,6 +10,7 @@ or slow CI.
 
 from __future__ import annotations
 
+import json
 import pathlib
 
 import numpy as np
@@ -101,3 +102,20 @@ def check_gradients(build_loss, shapes: list[tuple[int, ...]], seed: int = 0,
             actual, expected, atol=atol, rtol=rtol,
             err_msg=f"gradient mismatch for input {index}",
         )
+
+
+def set_checkpoint_format_version(path, version: int) -> None:
+    """Rewrite one checkpoint archive's meta to claim ``version``.
+
+    The embedded checksum covers only the arrays, so the archive stays
+    valid in every other respect: what a build writing another format
+    version would leave behind.
+    """
+    with np.load(path) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    meta = json.loads(bytes(arrays["__meta__"].tobytes()).decode())
+    meta["format_version"] = version
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
+                                       dtype=np.uint8)
+    with open(path, "wb") as handle:
+        np.savez(handle, **arrays)

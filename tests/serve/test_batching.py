@@ -61,13 +61,6 @@ class TestBitIdenticalCoalescing:
         served = np.concatenate([r.result() for r in requests])
         np.testing.assert_array_equal(served, direct)
 
-    def test_fused_and_reference_paths_agree(self, loaded, windows):
-        fused = BatchingEngine(loaded, BatchingConfig(use_fused=True))
-        reference = BatchingEngine(loaded, BatchingConfig(use_fused=False))
-        np.testing.assert_allclose(fused.encode(windows[:8])[1],
-                                   reference.encode(windows[:8])[1],
-                                   rtol=1e-5, atol=1e-6)
-
 
 class TestCacheWiring:
     def test_hit_returns_identical_contents(self, loaded, windows):

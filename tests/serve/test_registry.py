@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,28 @@ from repro.core.model import TimeDRL
 from repro.serve import LoadedModel, ModelRegistry, RegistryError, ShapeMismatch
 from repro.telemetry import Run
 
+from ..helpers import set_checkpoint_format_version
 from .conftest import CHANNELS, SEQ_LEN
+
+
+_LAYER_PARTS = {"q": "attention.q_proj", "k": "attention.k_proj",
+                "v": "attention.v_proj", "out": "attention.out_proj"}
+
+
+def _state_key(name: str) -> str:
+    """The ``TimeDRL.state_dict`` key of one packed array name."""
+    if name == "cls_token":
+        return "encoder.cls_token"
+    if name == "pos":
+        return "encoder.positional_encoding.weight"
+    head, __, rest = name.partition(".")
+    if head == "token":
+        return f"encoder.token_encoding.{rest}"
+    if head == "head":
+        return f"predictive_head.proj.{rest}"
+    index, part, leaf = rest.split(".")
+    return (f"encoder.backbone.layers.item{index}."
+            f"{_LAYER_PARTS.get(part, part)}.{leaf}")
 
 
 class TestLoad:
@@ -32,16 +55,22 @@ class TestLoad:
         assert loaded.source == str(archive)
 
     def test_rebuilt_model_matches_source_weights(self, checkpoint_dir, windows):
+        """Every packed array is the checkpoint's ``model_state`` entry,
+        and together they are all of it but the pre-training-only
+        contrastive head."""
         loaded = ModelRegistry().load(checkpoint_dir)
         state, meta = CheckpointManager(checkpoint_dir).load_latest()
+        packed = loaded.model.arrays
+        assert {_state_key(name) for name in packed} == {
+            key for key in state.model_state
+            if not key.startswith("contrastive_head.")}
+        for name, array in packed.items():
+            raw = state.model_state[_state_key(name)]
+            assert array.dtype == raw.dtype and array.flags.c_contiguous
+            np.testing.assert_array_equal(array, raw)
         direct = TimeDRL(TimeDRLConfig(**meta["model_config"]))
         direct.load_state_dict(state.model_state, strict=True)
         direct.eval()
-        for (a, via), (b, raw) in zip(
-                sorted(loaded.model.state_dict().items()),
-                sorted(direct.state_dict().items())):
-            assert a == b
-            np.testing.assert_array_equal(via, raw)
         np.testing.assert_array_equal(loaded.model.encode(windows[:4])[1],
                                       direct.encode(windows[:4])[1])
 
@@ -53,6 +82,14 @@ class TestLoad:
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(RegistryError, match="no valid checkpoint"):
             ModelRegistry().load(tmp_path)
+
+    def test_other_format_version_named(self, checkpoint_dir, tmp_path):
+        directory = tmp_path / "old"
+        shutil.copytree(checkpoint_dir, directory)
+        for archive in directory.glob("ckpt-*.npz"):
+            set_checkpoint_format_version(archive, 1)
+        with pytest.raises(RegistryError, match="format version 1"):
+            ModelRegistry().load(directory)
 
     def test_unresolvable_source_rejected(self, tmp_path):
         with pytest.raises(RegistryError, match="cannot resolve"):

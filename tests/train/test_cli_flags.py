@@ -19,6 +19,8 @@ import pytest
 from repro.cli import build_parser, main
 from repro.telemetry import Run, list_runs
 
+from ..helpers import set_checkpoint_format_version
+
 TRAINING_COMMANDS = ("pretrain", "finetune", "transfer")
 SHARED_FLAGS = ("--checkpoint", "--resume", "--telemetry", "--run-root",
                 "--prefetch", "--workers")
@@ -178,3 +180,27 @@ class TestResumeWithoutCheckpoint:
                      "--resume"]) == 1
         assert "nothing to resume" in capsys.readouterr().err
         assert list_runs(root) == []
+
+
+class TestResumeOverOtherFormatVersion:
+    def test_refused_with_the_version(self, tmp_path, capsys):
+        """``--resume`` over checkpoints of another format version exits
+        1 naming the version; it neither trains from step 0 nor writes
+        a checkpoint beside the old ones."""
+        flags, __, __ = TELEMETRY_RUNS["pretrain"]
+        directory = tmp_path / "ckpts"
+        assert main(["pretrain", *flags, "--epochs", "1",
+                     "--checkpoint", str(directory)]) == 0
+        archives = sorted(directory.glob("ckpt-*.npz"))
+        assert archives
+        for archive in archives:
+            set_checkpoint_format_version(archive, 1)
+        capsys.readouterr()
+        assert main(["pretrain", *flags, "--epochs", "2",
+                     "--checkpoint", str(directory), "--resume"]) == 1
+        error = capsys.readouterr().err
+        assert "format version 1" in error
+        assert "Traceback" not in error
+        assert sorted(directory.glob("ckpt-*.npz")) == archives
+        assert main(["runs", "resume", str(directory)]) == 1
+        assert "format version 1" in capsys.readouterr().err
